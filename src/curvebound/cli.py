@@ -137,8 +137,7 @@ def _run_bounds(cfg: RunConfig, out: Path, threads: int) -> int:
 
 def _run_flow(cfg: RunConfig, out: Path, threads: int) -> int:
     task: FlowTask = cfg.task
-    profile = flow_profile(task.lambda_R, task.tau_min, task.tau_max, task.points,
-                           cfg=cfg.quadrature)
+    profile = flow_profile(task.lambda_R, task.tau_min, task.tau_max, task.points)
     ode = ode_flow_values(task.lambda_R, profile.tau_grid)
     rows = [
         [float(profile.tau_grid[i]), float(profile.lambda_values[i]),
@@ -195,7 +194,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON configuration")
         p.add_argument("--out", required=True, help="output directory (created if missing)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (recorded; execution is deterministic)")
+                       help="recorded in the output metadata only; execution is single-threaded")
         p.add_argument("--strict", action="store_true",
                        help="reject unknown configuration keys")
     args = parser.parse_args(argv)

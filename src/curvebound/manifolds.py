@@ -111,7 +111,10 @@ def geodesic_distance(manifold: ManifoldSpec, x, y) -> float:
     Euclidean: |x-y|.  Torus: per-axis minimal image.  Hyperbolic (upper
     half-space, curvature radius a):
 
-        cosh(d/a) = 1 + |x-y|^2 / (2 x3 y3)
+        cosh(d/a) = 1 + q,  q = |x-y|^2 / (2 x3 y3),
+
+    evaluated as d = 2 a asinh(sqrt(q/2)): acosh(1 + q) rounds every
+    q < 1e-16 to zero.
     """
     x = _check_point(manifold, x)
     y = _check_point(manifold, y)
@@ -122,7 +125,7 @@ def geodesic_distance(manifold: ManifoldSpec, x, y) -> float:
         return float(math.hypot(*d))
     a = manifold.curvature_radius
     q = float(np.sum((x - y) ** 2)) / (2.0 * x[2] * y[2])
-    return a * math.acosh(1.0 + q)
+    return 2.0 * a * math.asinh(math.sqrt(0.5 * q))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +196,7 @@ def pair_displacement(manifold: ManifoldSpec, X, Y):
     if np.any(X[:, 2] <= 0) or np.any(Y[:, 2] <= 0):
         raise DomainError("upper half-space requires x3 > 0")
     q = np.sum((X - Y) ** 2, axis=1) / (2.0 * X[:, 2] * Y[:, 2])
-    return a * np.arccosh(1.0 + q)
+    return 2.0 * a * np.arcsinh(np.sqrt(0.5 * q))
 
 
 def displacement_distance(manifold: ManifoldSpec, disp):

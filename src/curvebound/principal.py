@@ -16,6 +16,12 @@ half-width delta into a log-adapted band (xi = delta e^{-w}, which tames the
 log(1/xi) coincidence growth) and geometric far panels.  Homogeneous curves
 (circles, torus winding lines) need a single outer node; the isometry group
 makes the inner integral position independent.
+
+Only the u-weight depends on the energy, so every entry of Phi(E), of
+dPhi/dE and of the flow variant is sum_u g(u) W(E, u) T(u) over one heat
+trace T per curve pair (the kernel summed over that pair's (s, s') nodes
+with their curve weights), built once and contracted per energy with W =
+w_mu_i - w_E, -w_E, -w'_E, or the counterterm constant minus w_E.
 """
 
 from __future__ import annotations
@@ -26,18 +32,28 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy import special
 
 from .curves import CurveFamily, SampledCurve
-from .manifolds import DomainError, Euclidean3, ManifoldSpec, pair_displacement
+from .manifolds import (
+    DomainError,
+    Euclidean3,
+    ManifoldSpec,
+    circle_heat_kernel,
+    displacement_distance,
+    heat_kernel_grid,
+    pair_displacement,
+)
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     SingWindowConfig,
+    _HeatTrace,
     _leggauss,
-    pair_derivative_batch,
-    pair_plain_batch,
-    pair_renormalized_batch,
-    rg_pair_batch,
+    u_panel_breaks,
+    weight_derivative,
+    weight_plain,
+    weight_renormalized,
 )
 
 
@@ -131,55 +147,127 @@ def _inner_grid(curve: SampledCurve, sw: SingWindowConfig):
     return xi, wt, band_mask
 
 
-def _outer_nodes(curve: SampledCurve):
-    return curve.nodes[:1] if curve.homogeneous else curve.nodes
-
-
 # ---------------------------------------------------------------------------
-# diagonal entries
+# heat traces of a family, contracted per energy
 
 
-def _diag_integral(curve, E, mu, m, manifold, cfg, kind):
-    """(1/L) iint ds ds' of the requested subtracted/derivative integrand.
+def _counterterm_weight(mu):
+    """erfcx(mu sqrt u)/(8 pi u): the intrinsic-circle counterterm's u-weight."""
+    return lambda u: special.erfcx(mu * np.sqrt(u)) / (8.0 * math.pi * u)
 
-    Returns (value, err, band_part).  kind is one of "ren", "deriv", "rg";
-    for "rg" mu is the counterterm scale.
+
+class _FamilyTraces:
+    """The heat traces of every entry of Phi, built once for a set of energies.
+
+    Diagonal i: the kernel averaged over (outer node, inner xi) pairs with the
+    inner-grid weights, one column for the whole xi range and one for the
+    |xi| < delta band.  Off-diagonal (i, j): the kernel summed over the
+    periodic node tensor with weight sqrt(L_i L_j)/(n_i n_j).  Under RGScale
+    each diagonal also gets its E-independent counterterm: the
+    intrinsic-circle kernel on the same xi grid against erfcx(mu sqrt u)/(8 pi
+    u), with an algebraic tail panel since that weight decays only like
+    u^{-3/2}.  The u-rules reach out to the largest |E| in energies (and to
+    each |mu_i| under MinimalBoundState); a trace is evaluated on first use.
     """
-    xi, wt, band_mask = _inner_grid(curve, cfg.sing_window)
-    outer = _outer_nodes(curve)
-    total = err = band = 0.0
-    for s in outer:
-        x = curve.point_at(s)
-        y = curve.point_at(s + xi)
-        disp = pair_displacement(manifold, np.broadcast_to(x, y.shape), y)
-        if kind == "ren":
-            v, e = pair_renormalized_batch(E, mu, disp, m, manifold, cfg)
-        elif kind == "deriv":
-            v, e = pair_derivative_batch(E, disp, m, manifold, cfg)
-        else:
-            v, e = rg_pair_batch(E, mu, xi, disp, m, curve.length, manifold, cfg)
-        total += float(wt @ v)
-        err += float(wt @ e)
-        band += float(wt[band_mask] @ v[band_mask])
-    k = len(outer)
-    return total / k, err / k, band / k
 
+    def __init__(self, family: CurveFamily, p: Prescription, manifold: ManifoldSpec,
+                 cfg: QuadratureConfig, energies):
+        self.family, self.p, self.cfg = family, p, cfg
+        for E in energies:
+            self._check(E)
+        m = family.mass
+        e_max = max((abs(E) for E in energies), default=0.0)
+        self.fingerprint = family_fingerprint(family, manifold)
 
-# ---------------------------------------------------------------------------
-# off-diagonal entries
+        def ambient(disp):
+            return lambda u: heat_kernel_grid(manifold, u, disp, cfg.series)
 
+        def intrinsic(xi, L):
+            return lambda u: circle_heat_kernel(u[:, None], xi, L, cfg.series)
 
-def _offdiag_integral(ci, cj, E, m, manifold, cfg, kind):
-    """-(1/sqrt(L_i L_j)) iint ds ds' G(E) via the periodic node tensor rule."""
-    ni, nj = len(ci.nodes), len(cj.nodes)
-    ii, jj = np.meshgrid(np.arange(ni), np.arange(nj), indexing="ij")
-    disp = pair_displacement(manifold, ci.points[ii.ravel()], cj.points[jj.ravel()])
-    if kind == "deriv":
-        v, e = pair_derivative_batch(E, disp, m, manifold, cfg)
-    else:
-        v, e = pair_plain_batch(E, disp, m, manifold, cfg)
-    scale = math.sqrt(ci.length * cj.length) / (ni * nj)
-    return -scale * float(np.sum(v)), scale * float(np.sum(e))
+        def breaks(disp, e):
+            return u_panel_breaks(float(np.min(displacement_distance(manifold, disp))), m, e, cfg)
+
+        self.traces, self.counter = {}, {}  # keyed (i, j), i <= j; counterterms by i
+        for i, ci in enumerate(family.curves):
+            xi, wt, band_mask = _inner_grid(ci, cfg.sing_window)
+            outer = ci.nodes[:1] if ci.homogeneous else ci.nodes
+            x = np.repeat(ci.point_at(outer), len(xi), axis=0)
+            disp = pair_displacement(manifold, x, ci.point_at((outer[:, None] + xi).ravel()))
+            cols = np.stack([wt, np.where(band_mask, wt, 0.0)])
+            e_i = max(e_max, abs(family.mu[i])) if isinstance(p, MinimalBoundState) else e_max
+            b = breaks(disp, e_i)
+            coeffs = np.tile(cols, len(outer)) / len(outer)
+            self.traces[i, i] = _HeatTrace(ambient(disp), coeffs, b, cfg)
+            if isinstance(p, RGScale):
+                self.counter[i] = _HeatTrace(intrinsic(xi, ci.length), cols, b, cfg, tail=True)
+            for j in range(i + 1, len(family)):
+                cj = family.curves[j]
+                ni, nj = len(ci.nodes), len(cj.nodes)
+                disp = pair_displacement(manifold, np.repeat(ci.points, nj, axis=0),
+                                         np.tile(cj.points, (ni, 1)))
+                scale = np.full(ni * nj, math.sqrt(ci.length * cj.length) / (ni * nj))
+                self.traces[i, j] = _HeatTrace(ambient(disp), scale, breaks(disp, e_max), cfg)
+
+    def _check(self, E):
+        _check_energy(E, self.family.mass)
+        if isinstance(self.p, RGScale) and not E < self.p.mu:
+            raise DomainError("flow prescription requires E < mu")
+
+    def phi(self, E):
+        """(entries, err, band) of Phi(E), unchecked against the tolerance.
+
+        E must lie within the largest |energy| the traces were built for.
+        """
+        self._check(E)
+        fam, p, m = self.family, self.p, self.family.mass
+        n = len(fam)
+
+        def w_E(u):
+            return weight_plain(u, E, m)
+
+        # [full rule, half rule] x entry, the diagonal's band column apart
+        r = np.zeros((2, n, n))
+        band = np.zeros(n)
+        for (i, j), trace in self.traces.items():
+            if i != j:
+                d = -trace.integrate(w_E)
+            elif isinstance(p, RGScale):
+                d = self.counter[i].integrate(_counterterm_weight(p.mu)) - trace.integrate(w_E)
+                d[:, 0] += 1.0 / p.lambda_R
+            elif E == fam.mu[i]:  # the subtraction weight vanishes identically
+                d = np.zeros((2, 2))
+            else:
+                d = trace.integrate(lambda u: weight_renormalized(u, E, fam.mu[i], m))
+            r[:, i, j] = r[:, j, i] = d[:, 0]
+            if i == j:
+                band[i] = d[0, 1]
+        return r[0], np.abs(r[0] - r[1]), band
+
+    def dphi(self, E):
+        """dPhi/dE: every entry is minus the derivative-weighted trace."""
+        _check_energy(E, self.family.mass)
+        m, n = self.family.mass, len(self.family)
+        out = np.zeros((n, n))
+        for (i, j), trace in self.traces.items():
+            out[i, j] = out[j, i] = -trace.integrate(lambda u: weight_derivative(u, E, m))[0, 0]
+        return out
+
+    def matrix(self, E) -> PrincipalMatrix:
+        """Phi(E), raising ConvergenceError when any entry's half-order defect
+        exceeds abs_tol + rel_tol |value|."""
+        entries, err, band = self.phi(E)
+        tol = self.cfg.abs_tol + self.cfg.rel_tol * np.abs(entries)
+        over = np.where(err > tol, err, 0.0)
+        if np.any(over):
+            k = np.unravel_index(int(np.argmax(over)), over.shape)
+            worst = (int(k[0]), int(k[1]))
+            raise ConvergenceError(
+                f"entry {worst} error estimate {err[k]:.3e} exceeds tolerance {tol[k]:.3e}",
+                worst, err[k], tol[k],
+            )
+        return PrincipalMatrix(E=float(E), entries=entries, err=err, band_contributions=band,
+                               fingerprint=self.fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +289,6 @@ def _check_energy(E, m):
         raise DomainError(f"energy must lie in (-{m}, {m}), got {E}")
 
 
-def _entry_tolerance(value, cfg):
-    return cfg.abs_tol + cfg.rel_tol * abs(value)
-
-
 def assemble(
     family: CurveFamily,
     E: float,
@@ -217,49 +301,7 @@ def assemble(
     Raises ConvergenceError when any entry's quadrature error estimate
     exceeds abs_tol + rel_tol |value|.
     """
-    m = family.mass
-    _check_energy(E, m)
-    if isinstance(p, RGScale) and not E < p.mu:
-        raise DomainError("flow prescription requires E < mu")
-
-    n = len(family)
-    entries = np.zeros((n, n))
-    err = np.zeros((n, n))
-    band = np.zeros(n)
-    for i, curve in enumerate(family.curves):
-        if isinstance(p, MinimalBoundState):
-            v, e, b = _diag_integral(curve, E, float(family.mu[i]), m, manifold, cfg, "ren")
-            inv_lambda = 0.0
-        else:
-            v, e, b = _diag_integral(curve, E, p.mu, m, manifold, cfg, "rg")
-            inv_lambda = 1.0 / p.lambda_R
-        entries[i, i] = inv_lambda + v
-        err[i, i] = e
-        band[i] = b
-    for i in range(n):
-        for j in range(i + 1, n):
-            v, e = _offdiag_integral(family.curves[i], family.curves[j], E, m, manifold, cfg, "plain")
-            entries[i, j] = entries[j, i] = v
-            err[i, j] = err[j, i] = e
-
-    worst = None
-    for i in range(n):
-        for j in range(n):
-            tol = _entry_tolerance(entries[i, j], cfg)
-            if err[i, j] > tol and (worst is None or err[i, j] > worst[1]):
-                worst = ((i, j), err[i, j], tol)
-    if worst is not None:
-        raise ConvergenceError(
-            f"entry {worst[0]} error estimate {worst[1]:.3e} exceeds tolerance {worst[2]:.3e}",
-            worst[0], worst[1], worst[2],
-        )
-    return PrincipalMatrix(
-        E=float(E),
-        entries=entries,
-        err=err,
-        band_contributions=band,
-        fingerprint=family_fingerprint(family, manifold),
-    )
+    return _FamilyTraces(family, p, manifold, cfg, [E]).matrix(E)
 
 
 def derivative_matrix(
@@ -270,18 +312,7 @@ def derivative_matrix(
 ) -> np.ndarray:
     """dPhi/dE, prescription independent: every entry is a negative integral
     of the (strictly positive) energy-derivative pair kernel."""
-    m = family.mass
-    _check_energy(E, m)
-    n = len(family)
-    out = np.zeros((n, n))
-    for i, curve in enumerate(family.curves):
-        v, _, _ = _diag_integral(curve, E, None, m, manifold, cfg, "deriv")
-        out[i, i] = -v
-    for i in range(n):
-        for j in range(i + 1, n):
-            v, _ = _offdiag_integral(family.curves[i], family.curves[j], E, m, manifold, cfg, "deriv")
-            out[i, j] = out[j, i] = v  # _offdiag_integral already carries the minus sign
-    return out
+    return _FamilyTraces(family, MinimalBoundState(), manifold, cfg, [E]).dphi(E)
 
 
 def rg_assemble(
@@ -294,10 +325,6 @@ def rg_assemble(
     m: float = 1.0,
 ) -> float:
     """Scalar flow-prescription principal value Phi_R(E) for one curve."""
-    _check_energy(E, m)
-    if not E < mu:
-        raise DomainError("flow prescription requires E < mu")
-    if not lambda_R > 0:
-        raise DomainError("coupling must be positive")
-    v, _, _ = _diag_integral(curve, E, mu, m, manifold, cfg, "rg")
-    return 1.0 / lambda_R + v
+    family = CurveFamily(curves=(curve,), mu=np.zeros(1), d_matrix=np.zeros((1, 1)), mass=m)
+    traces = _FamilyTraces(family, RGScale(mu, lambda_R), manifold, cfg, [E])
+    return float(traces.phi(E)[0][0, 0])

@@ -15,19 +15,24 @@ folded into the weight
 The weight is evaluated through erfcx in a sign-split form that stays finite
 for any -m < E < m and any u (the naive product overflows once E^2 u > 700).
 u-integration uses geometric panels with Gauss-Legendre nodes between a
-boundary-layer floor ~ d^2/160 and an exponential-tail cap, and the error
-estimate per value is the defect of an embedded half-order rule.
+boundary-layer floor ~ d^2/160 and an exponential-tail cap set by the
+largest |energy| in play, and the error estimate is the defect of an
+embedded half-order rule.
+
+Only the weight depends on the energy.  A weighted sum of kernels over
+point pairs, T(u) = sum_p c_p K_u(disp_p), is therefore evaluated once on
+the u-rule nodes (``_HeatTrace``), and any energy's integral is the
+contraction sum_u g(u) w(E, u) T(u) with the rule weights g.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 from .manifolds import (
     DEFAULT_SERIES,
@@ -35,7 +40,6 @@ from .manifolds import (
     Euclidean3,
     KernelSeriesConfig,
     ManifoldSpec,
-    circle_heat_kernel,
     displacement_distance,
     heat_kernel_grid,
     pair_displacement,
@@ -62,7 +66,6 @@ class SingWindowConfig:
 class QuadratureConfig:
     t_nodes: int = 32
     u_nodes: int = 24
-    u_split: tuple | None = None  # explicit u-panel breakpoints, else automatic
     rel_tol: float = 1e-8
     abs_tol: float = 1e-11
     panel_ratio: float = 4.0
@@ -142,105 +145,55 @@ def _panel_nodes(a, b, n):
     return mid + half * x, half * w
 
 
-def u_panel_breaks(d_min, m, E, mu, cfg: QuadratureConfig):
+def u_panel_breaks(d_min, m, e_max, cfg: QuadratureConfig):
     """Geometric panel breakpoints covering the boundary layer and the tail.
 
-    The slowest decay among the weights in play sets the cap; the smallest
-    pair distance sets the floor (e^{-d^2/4u} < 4e-18 below d^2/160).
+    The smallest pair distance sets the floor (e^{-d^2/4u} < 4e-18 below
+    d^2/160); e_max, the largest |energy| whose weight the rule must carry,
+    sets the cap 45/(m^2 - e_max^2).  The ladder steps by exactly
+    panel_ratio from a floor that does not depend on e_max, so the ladder for
+    a smaller e_max is a prefix of the one for a larger e_max.
     """
-    if cfg.u_split is not None:
-        return np.asarray(cfg.u_split, dtype=float)
-    emax = max(abs(E), abs(mu) if mu is not None else 0.0)
-    rate = m * m - emax * emax
-    u_top = 45.0 / rate
-    if d_min > 0:
-        u_floor = d_min * d_min / 160.0
-    else:
-        u_floor = 1e-26 * u_top
-    u_floor = min(u_floor, u_top / cfg.panel_ratio**2)
+    u_top = 45.0 / (m * m - e_max * e_max)
+    u_floor = d_min * d_min / 160.0 if d_min > 0 else 1e-26 * 45.0 / (m * m)
+    u_floor = min(u_floor, 45.0 / (m * m * cfg.panel_ratio**2))
     n_panels = max(2, int(math.ceil(math.log(u_top / u_floor) / math.log(cfg.panel_ratio))))
-    return np.geomspace(u_floor, u_top, n_panels + 1)
+    return u_floor * cfg.panel_ratio ** np.arange(n_panels + 1)
 
 
-def integrate_u(weight_fn, manifold, disp, breaks, cfg: QuadratureConfig):
-    """sum over panels of GL-quadrature of weight(u) K_u(disp) du.
+class _HeatTrace:
+    """Energy-independent heat trace T(u) = sum_p c_p K_u(disp_p) of one entry.
 
-    Returns (values, err) over the displacement batch; err is the defect of
-    the embedded half-order rule.
+    T is held per node of the full and of the embedded half-order u-rule on
+    the panels between breaks (plus, with tail, an algebraic panel
+    u = u_top/s^2 out to infinity), one column per coefficient vector.  Every
+    diffusion-time integral sum_p c_p int du w(u) K_u(disp_p) is then the
+    contraction of T with the rule weights times w.  kernel(u) returns the
+    (len(u), npairs) kernel block; it is called one panel at a time, on the
+    first contraction, so a trace that is never needed costs nothing.
     """
-    npairs = len(np.atleast_1d(displacement_distance(manifold, disp)))
-    full = np.zeros(npairs)
-    half = np.zeros(npairs)
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        for acc, n in ((full, cfg.u_nodes), (half, max(8, cfg.u_nodes // 2))):
-            u, w = _panel_nodes(a, b, n)
-            kern = heat_kernel_grid(manifold, u, disp, cfg.series)
-            acc += (w * weight_fn(u)) @ kern
-    return full, np.abs(full - half)
 
+    def __init__(self, kernel, coeffs, breaks, cfg: QuadratureConfig, tail=False):
+        self._build = (kernel, np.atleast_2d(coeffs).T, breaks, cfg, tail)
 
-# ---------------------------------------------------------------------------
-# batch pair kernels (the assembly work-horses)
+    @cached_property
+    def rules(self):
+        """(u nodes, rule weights, T) for the full and the half-order rule."""
+        kernel, coeffs, breaks, cfg, tail = self._build
+        rules = []
+        for n in (cfg.u_nodes, max(8, cfg.u_nodes // 2)):
+            panels = [_panel_nodes(a, b, n) for a, b in zip(breaks[:-1], breaks[1:])]
+            if tail:
+                s, w = _panel_nodes(0.0, 1.0, n)
+                panels.append((breaks[-1] / s**2, w * 2.0 * breaks[-1] / s**3))
+            trace = np.concatenate([kernel(u) @ coeffs for u, _ in panels])
+            rules.append((np.concatenate([u for u, _ in panels]),
+                          np.concatenate([w for _, w in panels]), trace))
+        return rules
 
-
-def pair_plain_batch(E, disp, m, manifold, cfg=DEFAULT_QUADRATURE):
-    d = displacement_distance(manifold, disp)
-    breaks = u_panel_breaks(float(np.min(d)), m, E, None, cfg)
-    return integrate_u(lambda u: weight_plain(u, E, m), manifold, disp, breaks, cfg)
-
-def pair_renormalized_batch(E, mu, disp, m, manifold, cfg=DEFAULT_QUADRATURE):
-    if E == mu:
-        n = len(np.atleast_1d(displacement_distance(manifold, disp)))
-        return np.zeros(n), np.zeros(n)
-    d = displacement_distance(manifold, disp)
-    breaks = u_panel_breaks(float(np.min(d)), m, E, mu, cfg)
-    return integrate_u(
-        lambda u: weight_renormalized(u, E, mu, m), manifold, disp, breaks, cfg
-    )
-
-def pair_derivative_batch(E, disp, m, manifold, cfg=DEFAULT_QUADRATURE):
-    d = displacement_distance(manifold, disp)
-    breaks = u_panel_breaks(float(np.min(d)), m, E, None, cfg)
-    return integrate_u(lambda u: weight_derivative(u, E, m), manifold, disp, breaks, cfg)
-
-
-def rg_pair_batch(E, mu, xi, disp, m, L, manifold, cfg=DEFAULT_QUADRATURE):
-    """Combined counterterm-minus-ambient u-integrand for the rg prescription.
-
-        P(xi, d) = int du [ K^{S1,L}_u(xi) erfcx(mu sqrt u)/(8 pi u)
-                            - K^amb_u(d) w_E(u) ]
-
-    finite for xi > 0 because both terms share the u -> 0 singularity.  The
-    counterterm tail is only algebraic (u^{-3/2}), so an extra 1/s^2-mapped
-    panel integrates u in (u_top, inf) exactly where the geometric ladder
-    stops.  Requires mu > 0 (the counterterm t-integral needs decay).
-    """
-    if mu <= 0:
-        raise DomainError("rg counterterm scale mu must be positive")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    d = displacement_distance(manifold, disp)
-    breaks = u_panel_breaks(float(np.min(d)), m, E, None, cfg)
-
-    def combined(u):
-        su = np.sqrt(u)
-        ct = circle_heat_kernel(u[:, None], xi[None, :], L, cfg.series)
-        ct = ct * (special.erfcx(mu * su) / (8.0 * math.pi * u))[:, None]
-        amb = heat_kernel_grid(manifold, u, disp, cfg.series) * weight_plain(u, E, m)[:, None]
-        return ct - amb
-
-    full = np.zeros(len(xi))
-    half = np.zeros(len(xi))
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        for acc, n in ((full, cfg.u_nodes), (half, max(8, cfg.u_nodes // 2))):
-            u, w = _panel_nodes(a, b, n)
-            acc += w @ combined(u)
-    # algebraic tail u = u_top / s^2
-    u_top = breaks[-1]
-    for acc, n in ((full, cfg.u_nodes), (half, max(8, cfg.u_nodes // 2))):
-        s, w = _panel_nodes(0.0, 1.0, n)
-        u = u_top / s**2
-        acc += (w * 2.0 * u_top / s**3) @ combined(u)
-    return full, np.abs(full - half)
+    def integrate(self, weight):
+        """[full, half] rule values of int du weight(u) T(u), a column per coefficient vector."""
+        return np.array([(w * weight(u)) @ trace for u, w, trace in self.rules])
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +209,28 @@ def _check_pair_domain(E, m, mu=None):
         raise DomainError(f"mu must lie in (-m, m), got {mu}")
 
 
+def _pair_integral(weight, x, y, m, e_max, manifold, cfg, distinct=None):
+    """(value, half-order defect, distance) of int du weight(u) K_u(x, y).
+
+    distinct names the kernel for the DomainError raised at coincidence.
+    """
+    disp = pair_displacement(manifold, np.atleast_2d(x), np.atleast_2d(y))
+    d = float(displacement_distance(manifold, disp)[0])
+    if distinct and d <= 0:
+        raise DomainError(f"{distinct} pair kernel requires distinct points")
+    trace = _HeatTrace(lambda u: heat_kernel_grid(manifold, u, disp, cfg.series), 1.0,
+                       u_panel_breaks(d, m, e_max, cfg), cfg)
+    full, half = trace.integrate(weight)[:, 0]
+    return full, abs(full - half), d
+
+
 def pair_kernel_plain(E, x, y, m, manifold: ManifoldSpec = Euclidean3(),
                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> PairKernelValue:
     """Subordinated free-resolvent pair kernel G_plain(E; x, y), x != y."""
     _check_pair_domain(E, m)
-    disp = pair_displacement(manifold, np.atleast_2d(x), np.atleast_2d(y))
-    if float(np.min(displacement_distance(manifold, disp))) <= 0:
-        raise DomainError("plain pair kernel requires distinct points")
-    v, e = pair_plain_batch(E, disp, m, manifold, cfg)
-    return PairKernelValue(float(v[0]), float(e[0]))
+    v, e, _ = _pair_integral(lambda u: weight_plain(u, E, m), x, y, m, abs(E), manifold, cfg,
+                             "plain")
+    return PairKernelValue(float(v), float(e))
 
 
 def pair_kernel_renormalized(E, mu, x, y, m, manifold: ManifoldSpec = Euclidean3(),
@@ -278,22 +244,20 @@ def pair_kernel_renormalized(E, mu, x, y, m, manifold: ManifoldSpec = Euclidean3
     _check_pair_domain(E, m, mu)
     if E == mu:
         return PairKernelValue(0.0, 0.0)
-    disp = pair_displacement(manifold, np.atleast_2d(x), np.atleast_2d(y))
-    v, e = pair_renormalized_batch(E, mu, disp, m, manifold, cfg)
-    if float(np.min(displacement_distance(manifold, disp))) == 0.0:
-        e = np.maximum(e, np.abs(v))
-    return PairKernelValue(float(v[0]), float(e[0]))
+    v, e, d = _pair_integral(lambda u: weight_renormalized(u, E, mu, m), x, y, m,
+                             max(abs(E), abs(mu)), manifold, cfg)
+    if d == 0.0:
+        e = max(e, abs(v))
+    return PairKernelValue(float(v), float(e))
 
 
 def pair_kernel_derivative(E, x, y, m, manifold: ManifoldSpec = Euclidean3(),
                            cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> PairKernelValue:
     """Energy derivative dG_plain/dE; strictly positive on the domain."""
     _check_pair_domain(E, m)
-    disp = pair_displacement(manifold, np.atleast_2d(x), np.atleast_2d(y))
-    if float(np.min(displacement_distance(manifold, disp))) <= 0:
-        raise DomainError("derivative pair kernel requires distinct points")
-    v, e = pair_derivative_batch(E, disp, m, manifold, cfg)
-    return PairKernelValue(float(v[0]), float(e[0]))
+    v, e, _ = _pair_integral(lambda u: weight_derivative(u, E, m), x, y, m, abs(E), manifold,
+                             cfg, "derivative")
+    return PairKernelValue(float(v), float(e))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +281,7 @@ def flat_resolvent_oracle(E: float, d: float, m: float = 1.0) -> float:
         raise DomainError("oracle requires d > 0")
     if E == 0.0:
         return math.exp(-m * d) / (8.0 * math.pi * d)
+    from scipy.integrate import quad  # deferred: only the oracle needs it
 
     def integrand(p):
         t = math.tan(p)

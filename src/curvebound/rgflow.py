@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import roots_genlaguerre
 
 from .curves import SampledCurve
@@ -88,13 +87,11 @@ def beta(lambda_R: float, L: float = 2.0 * math.pi,
     return -lambda_R * lambda_R / (8.0 * math.pi**1.5) * total
 
 
-def flow_coupling(lambda_mu: float, tau: float, L: float = 2.0 * math.pi,
-                  cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def flow_coupling(lambda_mu: float, tau: float) -> float:
     """lambda(tau mu) = lambda / (1 + (lambda/4 pi) log tau).
 
-    L and cfg are accepted for signature parity with beta; the closed form is
-    length independent.  Raises FlowPoleError at and below the pole scale
-    tau* = exp(-4 pi / lambda).
+    The closed form is length independent.  Raises FlowPoleError at and
+    below the pole scale tau* = exp(-4 pi / lambda).
     """
     if lambda_mu <= 0 or tau <= 0:
         raise DomainError("flow needs lambda > 0 and tau > 0")
@@ -117,6 +114,7 @@ def ode_flow_values(lambda_mu: float, taus) -> np.ndarray:
     if np.any(taus <= 0):
         raise DomainError("tau values must be positive")
     out = np.full(taus.shape, lambda_mu)
+    from scipy.integrate import solve_ivp  # deferred: only this cross-check needs it
 
     def rhs(_, y):
         return [-y[0] * y[0] / _FOUR_PI]
@@ -136,7 +134,6 @@ def ode_flow_values(lambda_mu: float, taus) -> np.ndarray:
 
 
 def flow_profile(lambda_mu: float, tau_min: float, tau_max: float, points: int,
-                 L: float = 2.0 * math.pi, cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                  ode_check: bool = True) -> FlowResult:
     """Flow sampled on a geometric tau grid, with an optional ODE cross-check.
 
@@ -146,7 +143,7 @@ def flow_profile(lambda_mu: float, tau_min: float, tau_max: float, points: int,
     if not 0 < tau_min <= tau_max or points < 2:
         raise DomainError("need 0 < tau_min <= tau_max and at least two points")
     taus = np.geomspace(tau_min, tau_max, points)
-    lams = np.array([flow_coupling(lambda_mu, float(t), L, cfg) for t in taus])
+    lams = np.array([flow_coupling(lambda_mu, float(t)) for t in taus])
     betas = -lams * lams / _FOUR_PI
 
     residual = 0.0

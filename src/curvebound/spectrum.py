@@ -6,6 +6,10 @@ ground state is the unique zero of omega_min on the bracket and bracketed
 bisection is globally safe; a guarded secant step takes over once the bracket
 is small.  For a single curve under the bound-state prescription the zero
 sits exactly at E = mu by construction.
+
+Each call evaluates the family's heat traces once, over the u-rule that its
+energies need (the grid, the bracket, or E +- h), and contracts them per
+energy; only the u-weight depends on E.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ from .principal import (
     Prescription,
     PrincipalMatrix,
     QuadratureConfig,
-    RGScale,
-    assemble,
-    derivative_matrix,
+    _FamilyTraces,
 )
 
 _DISCONNECT_EPS = 1e-14
@@ -72,19 +74,19 @@ def spectral_flow(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> SpectralFlowResult:
     energies = np.asarray(energies, dtype=float)
+    traces = _FamilyTraces(family, p, manifold, cfg, energies)
     n = len(family)
     vals = np.zeros((len(energies), n))
     ground = np.zeros((len(energies), n))
     for k, E in enumerate(energies):
-        M = assemble(family, float(E), p, manifold, cfg)
-        w, v = np.linalg.eigh(M.entries)
+        w, v = np.linalg.eigh(traces.matrix(float(E)).entries)
         vals[k] = w
         ground[k] = _sign_fix(v[:, 0])
     return SpectralFlowResult(energies=energies, eigenvalues=vals, ground_vector=ground)
 
 
-def _omega_min(family, E, p, manifold, cfg):
-    M = assemble(family, E, p, manifold, cfg)
+def _omega_min(traces, E):
+    M = traces.matrix(E)
     return float(np.linalg.eigvalsh(M.entries)[0]), M
 
 
@@ -116,15 +118,16 @@ def ground_state_energy(
 
     tol_e = 1e-8 * m
     evals = 0
+    traces = _FamilyTraces(family, p, manifold, cfg, (lo, hi))
 
-    f_hi, M_hi = _omega_min(family, hi, p, manifold, cfg)
+    f_hi, M_hi = _omega_min(traces, hi)
     evals += 1
     if abs(f_hi) < 1e-15:
         return GroundState(hi, (lo, hi), evals, f_hi, "converged", _disconnected(M_hi))
     if f_hi > 0:  # omega decreasing in E, so positive at the top means no zero below
         return GroundState(math.nan, (lo, hi), evals, math.nan, "no_bound_state_in_bracket")
 
-    f_lo, _ = _omega_min(family, lo, p, manifold, cfg)
+    f_lo, _ = _omega_min(traces, lo)
     evals += 1
     if f_lo < 0:  # zero lies below the bracket floor
         return GroundState(math.nan, (lo, hi), evals, math.nan, "no_bound_state_in_bracket")
@@ -143,7 +146,7 @@ def ground_state_energy(
                 mid = 0.5 * (a + b)
         else:
             mid = 0.5 * (a + b)
-        f_mid, M_mid = _omega_min(family, mid, p, manifold, cfg)
+        f_mid, M_mid = _omega_min(traces, mid)
         evals += 1
         if f_mid == 0.0:
             break
@@ -178,13 +181,12 @@ def feynman_hellman_residual(
     m = family.mass
     if h is None:
         h = 1e-4 * m
-    M = assemble(family, E, p, manifold, cfg)
-    vals, vecs = np.linalg.eigh(M.entries)
-    D = derivative_matrix(family, E, manifold, cfg)
-    analytic = np.einsum("ik,ij,jk->k", vecs, D, vecs)
+    traces = _FamilyTraces(family, p, manifold, cfg, (E - h, E + h))
+    vals, vecs = np.linalg.eigh(traces.matrix(E).entries)
+    analytic = np.einsum("ik,ij,jk->k", vecs, traces.dphi(E), vecs)
 
-    wp = np.linalg.eigvalsh(assemble(family, E + h, p, manifold, cfg).entries)
-    wm = np.linalg.eigvalsh(assemble(family, E - h, p, manifold, cfg).entries)
+    wp = np.linalg.eigvalsh(traces.matrix(E + h).entries)
+    wm = np.linalg.eigvalsh(traces.matrix(E - h).entries)
     fd = (wp - wm) / (2.0 * h)
 
     scale = max(float(np.abs(vals).max()), 1e-300)
