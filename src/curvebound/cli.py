@@ -25,8 +25,8 @@ from .bounds import gersgorin_threshold
 from .config import ConfigError, FlowTask, RunConfig, ScanTask, SolveTask, parse_config
 from .curves import ValidationError
 from .manifolds import DomainError
-from .principal import ConvergenceError, MinimalBoundState, assemble
-from .rgflow import FlowPoleError, beta, flow_profile, ode_flow_values
+from .principal import ConvergenceError, assemble
+from .rgflow import FlowPoleError, beta, flow_profile
 from .spectrum import ground_state_energy, spectral_flow
 from .validate import run_validation_suite
 
@@ -138,13 +138,7 @@ def _run_bounds(cfg: RunConfig, out: Path, threads: int) -> int:
 def _run_flow(cfg: RunConfig, out: Path, threads: int) -> int:
     task: FlowTask = cfg.task
     profile = flow_profile(task.lambda_R, task.tau_min, task.tau_max, task.points)
-    ode = ode_flow_values(task.lambda_R, profile.tau_grid)
-    rows = [
-        [float(profile.tau_grid[i]), float(profile.lambda_values[i]),
-         float(profile.beta_values[i]),
-         float(abs(ode[i] - profile.lambda_values[i]) / profile.lambda_values[i])]
-        for i in range(len(profile.tau_grid))
-    ]
+    rows = zip(profile.tau_grid, profile.lambda_values, profile.beta_values, profile.residuals)
     # both beta routes at the input coupling, so the convention stays auditable
     b_quad = beta(task.lambda_R, cfg=cfg.quadrature, method="quadrature")
     b_closed = beta(task.lambda_R, method="closed_form")
@@ -211,7 +205,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(text, strict=args.strict)
-    except (ConfigError, ValidationError, DomainError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
 

@@ -1,24 +1,35 @@
 """Declarative run configuration: a single JSON document, strictly validated.
 
-Every rejection names the offending path (config.curves[1].shape.radius, ...).
-Unknown keys are errors under strict mode and ignored otherwise; missing
-required keys are always errors.  Domain checks beyond structure (disjoint
-curves, |mu| < m, bracket ordering) are delegated to the module validators
-and surface through the same error type.
+Each JSON object is loaded into a library dataclass by converting its fields
+by type hint; manifold, shape, prescription and task pick their class by
+`kind`.  Unknown keys are errors under strict mode and ignored otherwise;
+missing required keys are always errors.  Range checks are the dataclasses'
+own and name the object (config.curves[1].shape: circle radius must be
+positive); checks against the mass live in `parse_config`.  The effective
+configuration is read back from the loaded objects.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass
-from typing import Union
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
-from .curves import Circle, ParametricSamples, TorusLoop, family_geometry, resample_arclength
-from .manifolds import Euclidean3, FlatTorus3, Hyperbolic3
-from .principal import MinimalBoundState, RGScale
-from .quadrature import QuadratureConfig, SingWindowConfig
+from .curves import (
+    Circle,
+    CurveSpec,
+    ParametricSamples,
+    TorusLoop,
+    ValidationError,
+    family_geometry,
+    resample_arclength,
+)
+from .manifolds import DomainError, Euclidean3, FlatTorus3, Hyperbolic3, ManifoldSpec
+from .principal import MinimalBoundState, Prescription, RGScale
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 
 
 class ConfigError(ValueError):
@@ -29,7 +40,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SolveTask:
-    bracket: tuple | None = None
+    bracket: tuple[float, float] | None = None
     kind: str = "solve"
 
 
@@ -39,6 +50,12 @@ class ScanTask:
     E_max: float
     points: int
     kind: str = "scan"
+
+    def __post_init__(self):
+        if self.points < 2:
+            raise DomainError("points must be at least 2")
+        if not self.E_min < self.E_max:
+            raise DomainError("need E_min < E_max")
 
 
 @dataclass(frozen=True)
@@ -53,6 +70,15 @@ class FlowTask:
     tau_max: float
     points: int
     kind: str = "flow"
+
+    def __post_init__(self):
+        for name in ("lambda_R", "tau_min", "tau_max"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"{name} must be positive")
+        if self.points < 2:
+            raise DomainError("points must be at least 2")
+        if not self.tau_min <= self.tau_max:
+            raise DomainError("need tau_min <= tau_max")
 
 
 @dataclass(frozen=True)
@@ -82,218 +108,108 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# document schema: the library dataclasses plus three containers
 
 
-def _object(v, path, strict, allowed, required=()):
-    if not isinstance(v, dict):
-        raise ConfigError(path, f"expected an object, got {type(v).__name__}")
-    for key in required:
-        if key not in v:
-            raise ConfigError(f"{path}.{key}", "required key missing")
-    if strict:
-        for key in v:
-            if key not in allowed:
-                raise ConfigError(f"{path}.{key}", "unknown key (strict mode)")
-    return v
+@dataclass(frozen=True)
+class _Curve:
+    shape: CurveSpec
+    mu: float
 
 
-def _number(v, path, positive=False, nonneg=False):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(path, f"expected a number, got {type(v).__name__}")
-    x = float(v)
-    if not math.isfinite(x):
-        raise ConfigError(path, "must be finite")
-    if positive and x <= 0:
-        raise ConfigError(path, "must be a positive number")
-    if nonneg and x < 0:
-        raise ConfigError(path, "must be nonnegative")
-    return x
+@dataclass(frozen=True)
+class _Sampling:
+    nodes: int = 64
 
 
-def _integer(v, path, minimum=None):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(path, f"expected an integer, got {type(v).__name__}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(path, f"must be at least {minimum}")
-    return v
+@dataclass(frozen=True, kw_only=True)
+class _Document:
+    manifold: ManifoldSpec = Euclidean3()
+    mass: float = 1.0
+    curves: tuple[_Curve, ...]
+    prescription: Prescription = MinimalBoundState()
+    quadrature: QuadratureConfig = DEFAULT_QUADRATURE
+    sampling: _Sampling = _Sampling()
+    task: Task
 
 
-def _vector3(v, path):
-    if not isinstance(v, (list, tuple)) or len(v) != 3:
-        raise ConfigError(path, "expected a list of three numbers")
-    return tuple(_number(x, f"{path}[{k}]") for k, x in enumerate(v))
+_KINDS = {
+    ManifoldSpec: {"euclidean3": Euclidean3, "flat_torus3": FlatTorus3, "hyperbolic3": Hyperbolic3},
+    CurveSpec: {"circle": Circle, "parametric_samples": ParametricSamples, "torus_loop": TorusLoop},
+    Prescription: {"minimal": MinimalBoundState, "rg_scale": RGScale},
+    Task: {"solve": SolveTask, "scan": ScanTask, "bounds": BoundsTask, "flow": FlowTask,
+           "validate": ValidateTask},
+}
+_KIND_OF = {cls: kind for table in _KINDS.values() for kind, cls in table.items()}
 
 
-def _kind(v, path, choices):
-    if "kind" not in v:
-        raise ConfigError(f"{path}.kind", "required key missing")
-    k = v["kind"]
-    if k not in choices:
-        raise ConfigError(f"{path}.kind", f"expected one of {sorted(choices)}, got {k!r}")
-    return k
+def _keys(cls):
+    """The fields a document sets: all but the kind tag and the kernel series."""
+    return [f for f in fields(cls) if f.name not in ("kind", "series")]
 
 
-# ---------------------------------------------------------------------------
-# section parsers
-
-
-def _parse_manifold(v, path, strict):
-    k = _kind(_object(v, path, False, ()), path, ("euclidean3", "flat_torus3", "hyperbolic3"))
-    if k == "euclidean3":
-        _object(v, path, strict, ("kind",))
-        return Euclidean3(), {"kind": k}
-    if k == "flat_torus3":
-        _object(v, path, strict, ("kind", "circumferences"), ("circumferences",))
-        ls = _vector3(v["circumferences"], f"{path}.circumferences")
-        if min(ls) <= 0:
-            raise ConfigError(f"{path}.circumferences", "must all be positive")
-        return FlatTorus3(ls), {"kind": k, "circumferences": list(ls)}
-    _object(v, path, strict, ("kind", "curvature_radius"), ("curvature_radius",))
-    a = _number(v["curvature_radius"], f"{path}.curvature_radius", positive=True)
-    return Hyperbolic3(a), {"kind": k, "curvature_radius": a}
-
-
-def _parse_shape(v, path, strict):
-    k = _kind(_object(v, path, False, ()), path, ("circle", "parametric_samples", "torus_loop"))
-    if k == "circle":
-        _object(v, path, strict, ("kind", "center", "radius", "normal"), ("center", "radius"))
-        center = _vector3(v["center"], f"{path}.center")
-        radius = _number(v["radius"], f"{path}.radius", positive=True)
-        normal = _vector3(v.get("normal", (0.0, 0.0, 1.0)), f"{path}.normal")
-        return Circle(center, radius, normal), {
-            "kind": k, "center": list(center), "radius": radius, "normal": list(normal)}
-    if k == "parametric_samples":
-        _object(v, path, strict, ("kind", "points"), ("points",))
-        pts = v["points"]
-        if not isinstance(pts, list) or len(pts) < 3:
-            raise ConfigError(f"{path}.points", "expected a list of at least three points")
-        tpts = tuple(_vector3(p, f"{path}.points[{i}]") for i, p in enumerate(pts))
-        return ParametricSamples(tpts), {"kind": k, "points": [list(p) for p in tpts]}
-    _object(v, path, strict, ("kind", "winding", "offset"), ("winding",))
-    w = v["winding"]
-    if not isinstance(w, list) or len(w) != 3:
-        raise ConfigError(f"{path}.winding", "expected a list of three integers")
-    winding = tuple(_integer(x, f"{path}.winding[{i}]") for i, x in enumerate(w))
-    offset = _vector3(v.get("offset", (0.0, 0.0, 0.0)), f"{path}.offset")
-    return TorusLoop(winding, offset), {"kind": k, "winding": list(winding), "offset": list(offset)}
-
-
-def _parse_curves(v, path, strict, mass):
-    if not isinstance(v, list) or len(v) == 0:
-        raise ConfigError(path, "expected a non-empty list of curves")
-    shapes, mus, echo = [], [], []
-    for i, cv in enumerate(v):
-        cpath = f"{path}[{i}]"
-        _object(cv, cpath, strict, ("shape", "mu"), ("shape", "mu"))
-        shape, shape_echo = _parse_shape(cv["shape"], f"{cpath}.shape", strict)
-        mu = _number(cv["mu"], f"{cpath}.mu")
-        if abs(mu) >= mass:
-            raise ConfigError(f"{cpath}.mu", f"|mu| must be below the mass {mass}")
-        shapes.append(shape)
-        mus.append(mu)
-        echo.append({"shape": shape_echo, "mu": mu})
-    return tuple(shapes), tuple(mus), echo
-
-
-def _parse_prescription(v, path, strict, mass):
-    k = _kind(_object(v, path, False, ()), path, ("minimal", "rg_scale"))
-    if k == "minimal":
-        _object(v, path, strict, ("kind",))
-        return MinimalBoundState(), {"kind": k}
-    _object(v, path, strict, ("kind", "mu", "lambda_R"), ("mu", "lambda_R"))
-    mu = _number(v["mu"], f"{path}.mu", positive=True)
-    if mu >= mass:
-        raise ConfigError(f"{path}.mu", f"counterterm scale must be below the mass {mass}")
-    lam = _number(v["lambda_R"], f"{path}.lambda_R", positive=True)
-    return RGScale(mu=mu, lambda_R=lam), {"kind": k, "mu": mu, "lambda_R": lam}
-
-
-def _parse_quadrature(v, path, strict):
-    allowed = ("t_nodes", "u_nodes", "rel_tol", "abs_tol", "panel_ratio", "sing_window")
-    _object(v, path, strict, allowed)
-    kw = {}
-    if "t_nodes" in v:
-        kw["t_nodes"] = _integer(v["t_nodes"], f"{path}.t_nodes", minimum=16)
-    if "u_nodes" in v:
-        kw["u_nodes"] = _integer(v["u_nodes"], f"{path}.u_nodes", minimum=16)
-    if "rel_tol" in v:
-        kw["rel_tol"] = _number(v["rel_tol"], f"{path}.rel_tol", positive=True)
-    if "abs_tol" in v:
-        kw["abs_tol"] = _number(v["abs_tol"], f"{path}.abs_tol", positive=True)
-    if "panel_ratio" in v:
-        kw["panel_ratio"] = _number(v["panel_ratio"], f"{path}.panel_ratio", positive=True)
-    if "sing_window" in v:
-        swv = _object(v["sing_window"], f"{path}.sing_window", strict,
-                      ("log_depth", "log_nodes", "far_panel_ratio", "far_nodes"))
-        skw = {}
-        if "log_depth" in swv:
-            skw["log_depth"] = _number(swv["log_depth"], f"{path}.sing_window.log_depth", positive=True)
-        if "log_nodes" in swv:
-            skw["log_nodes"] = _integer(swv["log_nodes"], f"{path}.sing_window.log_nodes", minimum=4)
-        if "far_panel_ratio" in swv:
-            skw["far_panel_ratio"] = _number(swv["far_panel_ratio"], f"{path}.sing_window.far_panel_ratio", positive=True)
-        if "far_nodes" in swv:
-            skw["far_nodes"] = _integer(swv["far_nodes"], f"{path}.sing_window.far_nodes", minimum=4)
-        kw["sing_window"] = SingWindowConfig(**skw)
+def _load(cls, value, path, strict):
+    """Build dataclass `cls` (or the kind-tagged union `cls`) from a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"expected an object, got {type(value).__name__}")
+    if cls in _KINDS:
+        if "kind" not in value:
+            raise ConfigError(f"{path}.kind", "required key missing")
+        kind, table = value["kind"], _KINDS[cls]
+        if not isinstance(kind, str) or kind not in table:
+            raise ConfigError(f"{path}.kind", f"expected one of {sorted(table)}, got {kind!r}")
+        cls, value = table[kind], {k: v for k, v in value.items() if k != "kind"}
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in _keys(cls):
+        if f.name in value:
+            kwargs[f.name] = _convert(hints[f.name], value[f.name], f"{path}.{f.name}", strict)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}.{f.name}", "required key missing")
+    unknown = [key for key in value if key not in kwargs]
+    if strict and unknown:
+        raise ConfigError(f"{path}.{unknown[0]}", "unknown key (strict mode)")
     try:
-        cfg = QuadratureConfig(**kw)
-    except ValueError as exc:
+        return cls(**kwargs)
+    except (DomainError, ValidationError) as exc:
         raise ConfigError(path, str(exc)) from exc
-    echo = {
-        "t_nodes": cfg.t_nodes, "u_nodes": cfg.u_nodes, "rel_tol": cfg.rel_tol,
-        "abs_tol": cfg.abs_tol, "panel_ratio": cfg.panel_ratio,
-        "sing_window": {
-            "log_depth": cfg.sing_window.log_depth, "log_nodes": cfg.sing_window.log_nodes,
-            "far_panel_ratio": cfg.sing_window.far_panel_ratio, "far_nodes": cfg.sing_window.far_nodes,
-        },
-    }
-    return cfg, echo
 
 
-def _parse_task(v, path, strict, mass):
-    k = _kind(_object(v, path, False, ()), path,
-              ("solve", "scan", "bounds", "flow", "validate"))
-    if k == "solve":
-        _object(v, path, strict, ("kind", "bracket"))
-        bracket = None
-        if "bracket" in v:
-            b = v["bracket"]
-            if not isinstance(b, list) or len(b) != 2:
-                raise ConfigError(f"{path}.bracket", "expected [E_lo, E_hi]")
-            lo = _number(b[0], f"{path}.bracket[0]")
-            hi = _number(b[1], f"{path}.bracket[1]")
-            if not -mass < lo < hi < mass:
-                raise ConfigError(f"{path}.bracket", f"need -m < E_lo < E_hi < m with m = {mass}")
-            bracket = (lo, hi)
-        echo = {"kind": k}
-        if bracket is not None:
-            echo["bracket"] = list(bracket)
-        return SolveTask(bracket=bracket), echo
-    if k == "scan":
-        _object(v, path, strict, ("kind", "E_min", "E_max", "points"), ("E_min", "E_max", "points"))
-        e0 = _number(v["E_min"], f"{path}.E_min")
-        e1 = _number(v["E_max"], f"{path}.E_max")
-        pts = _integer(v["points"], f"{path}.points", minimum=2)
-        if not -mass < e0 < e1 < mass:
-            raise ConfigError(path, f"need -m < E_min < E_max < m with m = {mass}")
-        return ScanTask(e0, e1, pts), {"kind": k, "E_min": e0, "E_max": e1, "points": pts}
-    if k == "bounds":
-        _object(v, path, strict, ("kind",))
-        return BoundsTask(), {"kind": k}
-    if k == "flow":
-        _object(v, path, strict, ("kind", "lambda_R", "tau_min", "tau_max", "points"),
-                ("lambda_R", "tau_min", "tau_max", "points"))
-        lam = _number(v["lambda_R"], f"{path}.lambda_R", positive=True)
-        t0 = _number(v["tau_min"], f"{path}.tau_min", positive=True)
-        t1 = _number(v["tau_max"], f"{path}.tau_max", positive=True)
-        pts = _integer(v["points"], f"{path}.points", minimum=2)
-        if not t0 <= t1:
-            raise ConfigError(path, "need tau_min <= tau_max")
-        return FlowTask(lam, t0, t1, pts), {"kind": k, "lambda_R": lam, "tau_min": t0,
-                                            "tau_max": t1, "points": pts}
-    _object(v, path, strict, ("kind",))
-    return ValidateTask(), {"kind": k}
+def _convert(hint, value, path, strict):
+    if get_origin(hint) is UnionType:  # X | None: an optional key, loaded as X
+        hint = get_args(hint)[0]
+    if hint in _KINDS or is_dataclass(hint):
+        return _load(hint, value, path, strict)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected a list, got {type(value).__name__}")
+        args = get_args(hint)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(path, f"expected a list of {len(args)} items")
+        return tuple(_convert(a, x, f"{path}[{i}]", strict)
+                     for i, (a, x) in enumerate(zip(args, value)))
+    if hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(path, f"expected a number, got {type(value).__name__}")
+        if not abs(value) <= sys.float_info.max:  # inf, nan, or an int beyond any double
+            raise ConfigError(path, "must be finite")
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _echo(value):
+    """JSON form of a loaded value: kind tag plus fields, None omitted."""
+    if is_dataclass(value):
+        tag = {"kind": _KIND_OF[type(value)]} if type(value) in _KIND_OF else {}
+        items = ((f.name, getattr(value, f.name)) for f in _keys(type(value)))
+        return tag | {name: _echo(v) for name, v in items if v is not None}
+    if isinstance(value, tuple):
+        return [_echo(x) for x in value]
+    return value
 
 
 def parse_config(text: str, strict: bool = False) -> RunConfig:
@@ -301,45 +217,37 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
-    root = _object(doc, "config", strict,
-                   ("manifold", "mass", "curves", "prescription", "quadrature", "sampling", "task"),
-                   ("curves", "task"))
+    doc = _load(_Document, doc, "config", strict)
 
-    mass = _number(root.get("mass", 1.0), "config.mass", positive=True)
-    manifold, manifold_echo = _parse_manifold(root.get("manifold", {"kind": "euclidean3"}),
-                                              "config.manifold", strict)
-    shapes, mus, curves_echo = _parse_curves(root["curves"], "config.curves", strict, mass)
-    prescription, presc_echo = _parse_prescription(root.get("prescription", {"kind": "minimal"}),
-                                                   "config.prescription", strict, mass)
-    quadrature, quad_echo = _parse_quadrature(root.get("quadrature", {}), "config.quadrature", strict)
-    sampling = _object(root.get("sampling", {}), "config.sampling", strict, ("nodes",))
-    nodes = _integer(sampling.get("nodes", 64), "config.sampling.nodes", minimum=8)
-    task, task_echo = _parse_task(root["task"], "config.task", strict, mass)
-
-    for shape in shapes:
-        if isinstance(shape, TorusLoop) and not isinstance(manifold, FlatTorus3):
+    m = doc.mass
+    if m <= 0:
+        raise ConfigError("config.mass", "must be a positive number")
+    if not doc.curves:
+        raise ConfigError("config.curves", "expected a non-empty list of curves")
+    for i, curve in enumerate(doc.curves):
+        if abs(curve.mu) >= m:
+            raise ConfigError(f"config.curves[{i}].mu", f"|mu| must be below the mass {m}")
+        if isinstance(curve.shape, TorusLoop) and not isinstance(doc.manifold, FlatTorus3):
             raise ConfigError("config.curves", "torus_loop curves require a flat_torus3 manifold")
+    if isinstance(doc.prescription, RGScale) and doc.prescription.mu >= m:
+        raise ConfigError("config.prescription.mu", f"counterterm scale must be below the mass {m}")
+    if doc.sampling.nodes < 8:
+        raise ConfigError("config.sampling.nodes", "must be at least 8")
+    task = doc.task
+    if isinstance(task, SolveTask) and task.bracket is not None and not -m < task.bracket[0] < task.bracket[1] < m:
+        raise ConfigError("config.task.bracket", f"need -m < E_lo < E_hi < m with m = {m}")
+    if isinstance(task, ScanTask) and not (-m < task.E_min and task.E_max < m):
+        raise ConfigError("config.task", f"need -m < E_min < E_max < m with m = {m}")
 
-    effective = {
-        "manifold": manifold_echo,
-        "mass": mass,
-        "curves": curves_echo,
-        "prescription": presc_echo,
-        "quadrature": quad_echo,
-        "sampling": {"nodes": nodes},
-        "task": task_echo,
-        "units": "lengths and energies in units set by the mass scale",
-    }
-    fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return RunConfig(
-        manifold=manifold,
-        mass=mass,
-        curve_shapes=shapes,
-        curve_mus=mus,
-        prescription=prescription,
-        quadrature=quadrature,
-        sampling_nodes=nodes,
+        manifold=doc.manifold,
+        mass=m,
+        curve_shapes=tuple(c.shape for c in doc.curves),
+        curve_mus=tuple(c.mu for c in doc.curves),
+        prescription=doc.prescription,
+        quadrature=doc.quadrature,
+        sampling_nodes=doc.sampling.nodes,
         task=task,
-        effective=effective,
-        fingerprint=fingerprint,
+        effective={**_echo(doc), "units": "lengths and energies in units set by the mass scale"},
+        fingerprint=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )

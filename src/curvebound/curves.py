@@ -24,7 +24,6 @@ from .manifolds import (
     FlatTorus3,
     Hyperbolic3,
     ManifoldSpec,
-    geodesic_distance,
     pair_displacement,
     displacement_distance,
 )
@@ -53,7 +52,7 @@ class Circle:
 class ParametricSamples:
     """Closed polyline through ordered points (closing edge implied)."""
 
-    points: tuple  # sequence of 3-vectors
+    points: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)

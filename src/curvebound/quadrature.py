@@ -58,8 +58,14 @@ class SingWindowConfig:
     far_nodes: int = 24
 
     def __post_init__(self):
-        if self.log_depth <= 0 or self.log_nodes < 4 or self.far_nodes < 4:
-            raise DomainError("singular-window parameters out of range")
+        if self.log_depth <= 0:
+            raise DomainError("log_depth must be positive")
+        if self.log_nodes < 4:
+            raise DomainError("log_nodes must be at least 4")
+        if self.far_panel_ratio <= 1:
+            raise DomainError("far_panel_ratio must exceed 1")
+        if self.far_nodes < 4:
+            raise DomainError("far_nodes must be at least 4")
 
 
 @dataclass(frozen=True)
@@ -73,12 +79,16 @@ class QuadratureConfig:
     series: KernelSeriesConfig = field(default_factory=lambda: DEFAULT_SERIES)
 
     def __post_init__(self):
-        if self.t_nodes < 16 or self.u_nodes < 16:
-            raise DomainError("t_nodes and u_nodes must be at least 16")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("tolerances must be positive")
+        if self.t_nodes < 16:
+            raise DomainError("t_nodes must be at least 16")
+        if self.u_nodes < 16:
+            raise DomainError("u_nodes must be at least 16")
+        if self.rel_tol <= 0:
+            raise DomainError("rel_tol must be positive")
+        if self.abs_tol <= 0:
+            raise DomainError("abs_tol must be positive")
         if self.panel_ratio <= 1:
-            raise DomainError("panel ratio must exceed 1")
+            raise DomainError("panel_ratio must exceed 1")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

@@ -42,7 +42,8 @@ class FlowResult:
     tau_grid: np.ndarray
     lambda_values: np.ndarray
     beta_values: np.ndarray
-    closed_form_residual: float
+    closed_form_residual: float  # max of residuals
+    residuals: np.ndarray  # per-point relative gap between closed form and ODE
 
 
 def beta(lambda_R: float, L: float = 2.0 * math.pi,
@@ -133,24 +134,20 @@ def ode_flow_values(lambda_mu: float, taus) -> np.ndarray:
     return out
 
 
-def flow_profile(lambda_mu: float, tau_min: float, tau_max: float, points: int,
-                 ode_check: bool = True) -> FlowResult:
-    """Flow sampled on a geometric tau grid, with an optional ODE cross-check.
+def flow_profile(lambda_mu: float, tau_min: float, tau_max: float, points: int) -> FlowResult:
+    """Flow sampled on a geometric tau grid, with an ODE cross-check.
 
-    closed_form_residual is the worst relative gap between the closed form and
-    a high-order integration of d lambda / d log tau = beta(lambda) from tau=1.
+    residuals are the relative gaps between the closed form and a high-order
+    integration of d lambda / d log tau = beta(lambda) from tau=1;
+    closed_form_residual is the worst of them.
     """
     if not 0 < tau_min <= tau_max or points < 2:
         raise DomainError("need 0 < tau_min <= tau_max and at least two points")
     taus = np.geomspace(tau_min, tau_max, points)
     lams = np.array([flow_coupling(lambda_mu, float(t)) for t in taus])
     betas = -lams * lams / _FOUR_PI
-
-    residual = 0.0
-    if ode_check:
-        ode_vals = ode_flow_values(lambda_mu, taus)
-        residual = float(np.max(np.abs(ode_vals - lams) / lams))
-    return FlowResult(taus, lams, betas, residual)
+    residuals = np.abs(ode_flow_values(lambda_mu, taus) - lams) / lams
+    return FlowResult(taus, lams, betas, float(np.max(residuals)), residuals)
 
 
 def rg_invariance_residual(curve: SampledCurve, E: float, m: float, mu: float,

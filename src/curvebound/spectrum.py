@@ -105,12 +105,16 @@ def ground_state_energy(
 ) -> GroundState:
     """Zero of the lowest eigenvalue over (-0.999 m, min_i mu_i] by default.
 
+    Under RGScale the default top is the largest double below the counterterm
+    scale mu (the flow prescription needs E < mu), capped at 0.999 m.
+
     No sign change on the bracket is an outcome, not an error: the returned
     status says so and E_gr is NaN.
     """
     m = family.mass
     if bracket is None:
-        hi = float(np.min(family.mu)) if isinstance(p, MinimalBoundState) else min(p.mu, 0.999 * m)
+        hi = (float(np.min(family.mu)) if isinstance(p, MinimalBoundState)
+              else min(math.nextafter(p.mu, -math.inf), 0.999 * m))
         bracket = (-0.999 * m, hi)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (-m < lo < hi) or not hi < m:

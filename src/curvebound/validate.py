@@ -1,8 +1,11 @@
 """Invariant suite behind the `validate` task.
 
 Each check exercises one published property of the library on the configured
-family (kernel anchors, operator structure, spectral monotonicity, bound
-ordering, flow identities) and reports pass/fail/skip with a one-line detail.
+family, mass or quadrature (kernel anchors, operator structure, spectral
+monotonicity, band envelopes, the beta function, the rescaling identity) and
+reports pass/fail/skip with a one-line detail.  Properties that no config
+can change (Bessel bounds, circle-kernel identities, the closed-form flow)
+are pinned by the test suite instead.
 Checks that only make sense on a flat ambient space are skipped elsewhere
 rather than failed.
 """
@@ -10,23 +13,18 @@ rather than failed.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
-from scipy.special import k1
 
 from .bounds import near_diagonal_envelope
 from .config import RunConfig
 from .curves import CurveFamily
-from .manifolds import (
-    Euclidean3,
-    FlatTorus3,
-    Hyperbolic3,
-    circle_heat_kernel,
-)
-from .principal import MinimalBoundState, RGScale, assemble, derivative_matrix
+from .manifolds import Euclidean3, Hyperbolic3
+from .principal import RGScale, assemble, derivative_matrix
 from .quadrature import flat_resolvent_oracle, pair_kernel_plain, pair_kernel_renormalized
-from .rgflow import beta, flow_coupling, rg_invariance_residual
-from .spectrum import eigen_decompose, spectral_flow
+from .rgflow import beta, rg_invariance_residual
+from .spectrum import _sign_fix, eigen_decompose, spectral_flow
 
 
 def _probe_points(manifold, d):
@@ -37,11 +35,10 @@ def _probe_points(manifold, d):
     return np.zeros(3), np.array([d, 0.0, 0.0])
 
 
-def _test_energy(family: CurveFamily, prescription) -> float:
-    mu_ref = float(np.min(family.mu))
-    if isinstance(prescription, RGScale):
-        mu_ref = min(mu_ref, prescription.mu)
-    return mu_ref - 0.3 * (mu_ref + family.mass)
+def _mu_ref(family: CurveFamily, prescription) -> float:
+    """Lowest subtraction scale in play: min_i mu_i, or the counterterm scale if lower."""
+    mu = float(np.min(family.mu))
+    return min(mu, prescription.mu) if isinstance(prescription, RGScale) else mu
 
 
 def _check_yukawa(cfg: RunConfig):
@@ -90,48 +87,9 @@ def _check_monotone_kernel(cfg: RunConfig):
             "G_plain strictly increasing and G_ren strictly decreasing on the sample grid")
 
 
-def _check_bessel_sandwich(cfg: RunConfig):
-    for z in (0.1, 1.0, 10.0):
-        val = k1(z)
-        lo = math.exp(-z) / z
-        hi = math.exp(-z) * (1.0 + 1.0 / z)
-        if not lo < val < hi:
-            return "fail", f"K1({z}) = {val} outside (e^-z/z, e^-z(1+1/z))"
-    return "pass", "e^-z/z < K1(z) < e^-z (1 + 1/z) at z in {0.1, 1, 10}"
-
-
-def _check_circle_semigroup(cfg: RunConfig):
-    L = (cfg.manifold.circumferences[0] if isinstance(cfg.manifold, FlatTorus3) else 2.0 * math.pi)
-    n = 4096
-    eta = np.linspace(0.0, L, n, endpoint=False)
-    worst = 0.0
-    for u, v, xi in ((0.1 * L**2, 0.05 * L**2, 0.3 * L), (0.02 * L**2, 0.02 * L**2, 0.0)):
-        conv = np.sum(circle_heat_kernel(u, xi - eta, L) * circle_heat_kernel(v, eta, L)) * L / n
-        direct = circle_heat_kernel(u + v, xi, L)
-        worst = max(worst, abs(conv - direct) / direct)
-    return ("pass" if worst < 1e-8 else "fail",
-            f"max relative semigroup defect of the circle kernel: {worst:.3e}")
-
-
-def _check_poisson(cfg: RunConfig):
-    from .manifolds import _circle_images, _circle_spectral
-
-    L = (cfg.manifold.circumferences[0] if isinstance(cfg.manifold, FlatTorus3) else 2.0 * math.pi)
-    u = np.array([L**2 / (4.0 * math.pi)])
-    worst = 0.0
-    for frac in (0.0, 0.17, 0.5):
-        xi = np.array([frac * L])
-        a = float(_circle_spectral(u, xi, L, 12)[0])
-        b = float(_circle_images(u, xi, L, 12)[0])
-        worst = max(worst, abs(a - b) / a)
-    return ("pass" if worst < 1e-12 else "fail",
-            f"mode-sum vs image-sum mismatch at the switch point: {worst:.3e}")
-
-
-def _check_hermiticity(cfg: RunConfig, family, E_test):
-    M = assemble(family, E_test, cfg.prescription, cfg.manifold, cfg.quadrature)
+def _check_hermiticity(M):
     sym = float(np.max(np.abs(M.entries - M.entries.T)))
-    off = M.entries[~np.eye(len(family), dtype=bool)]
+    off = M.entries[~np.eye(M.n, dtype=bool)]
     ok = sym <= 1e-12 * max(1.0, float(np.max(np.abs(M.entries)))) and np.all(off <= 0)
     return ("pass" if ok else "fail",
             f"symmetry defect {sym:.3e}; off-diagonal entries all <= 0: {bool(np.all(off <= 0))}")
@@ -149,10 +107,8 @@ def _check_derivative_negativity(cfg: RunConfig, family, E_test):
             f"max quadratic form of dPhi/dE over 20 random directions: {worst:.3e}")
 
 
-def _check_monotone_flow(cfg: RunConfig, family, E_test):
-    m, mu_min = family.mass, float(np.min(family.mu))
-    if isinstance(cfg.prescription, RGScale):
-        mu_min = min(mu_min, cfg.prescription.mu)
+def _check_monotone_flow(cfg: RunConfig, family, mu_min):
+    m = family.mass
     energies = np.linspace(-0.9 * m, mu_min - 0.05 * (mu_min + m), 5)
     flow = spectral_flow(family, energies, cfg.prescription, cfg.manifold, cfg.quadrature)
     diffs = np.diff(flow.eigenvalues, axis=0)
@@ -162,33 +118,25 @@ def _check_monotone_flow(cfg: RunConfig, family, E_test):
             else f"non-decreasing step found, max diff {float(np.max(diffs)):.3e}")
 
 
-def _check_perron(cfg: RunConfig, family, E_test):
-    M = assemble(family, E_test, cfg.prescription, cfg.manifold, cfg.quadrature)
-    off = np.abs(M.entries[~np.eye(len(family), dtype=bool)])
-    if len(family) > 1 and float(np.min(off)) < 1e-14:
+def _check_perron(M):
+    off = np.abs(M.entries[~np.eye(M.n, dtype=bool)])
+    if M.n > 1 and float(np.min(off)) < 1e-14:
         return "skip", "family numerically disconnected; lowest eigenvector need not be positive"
     _, vecs = eigen_decompose(M)
-    v = vecs[:, 0]
-    k = int(np.argmax(np.abs(v)))
-    if v[k] < 0:
-        v = -v
+    v = _sign_fix(vecs[:, 0])
     ok = bool(np.all(v > 0))
     return ("pass" if ok else "fail",
             f"ground eigenvector strictly positive: min component {float(np.min(v)):.3e}")
 
 
-def _check_band_envelope(cfg: RunConfig, family, E_test):
+def _check_band_envelope(cfg: RunConfig, family, E_test, M):
     if not isinstance(cfg.manifold, Euclidean3):
         return "skip", "envelope constants are calibrated for Euclidean3"
-    M = assemble(family, E_test, cfg.prescription, cfg.manifold, cfg.quadrature)
-    mus = (
-        [cfg.prescription.mu] * len(family)
-        if isinstance(cfg.prescription, RGScale)
-        else [float(x) for x in family.mu]
-    )
+    rg = isinstance(cfg.prescription, RGScale)
     worst = -math.inf
     for i, curve in enumerate(family.curves):
-        env = near_diagonal_envelope(E_test, mus[i], family.mass,
+        mu = cfg.prescription.mu if rg else float(family.mu[i])
+        env = near_diagonal_envelope(E_test, mu, family.mass,
                                      kappa_delta=curve.kappa_star * curve.delta_window)
         worst = max(worst, float(M.band_contributions[i]) - env)
     return ("pass" if worst <= 0 else "fail",
@@ -202,17 +150,6 @@ def _check_beta(cfg: RunConfig):
     rel = abs(got - ref) / abs(ref)
     return ("pass" if rel < 1e-6 else "fail",
             f"quadrature beta vs -lambda^2/(4 pi): relative gap {rel:.3e}")
-
-
-def _check_flow_semigroup(cfg: RunConfig):
-    lam = 1.0
-    worst = 0.0
-    for t1, t2 in ((0.5, 0.8), (1.3, 2.0), (0.7, 1.9)):
-        once = flow_coupling(lam, t1 * t2)
-        twice = flow_coupling(flow_coupling(lam, t1), t2)
-        worst = max(worst, abs(once - twice) / once)
-    return ("pass" if worst < 1e-10 else "fail",
-            f"max relative semigroup defect of the coupling flow: {worst:.3e}")
 
 
 def _check_rg_invariance(cfg: RunConfig, family):
@@ -237,22 +174,22 @@ def _check_rg_invariance(cfg: RunConfig, family):
 def run_validation_suite(cfg: RunConfig) -> list:
     """Run every applicable invariant check; returns a list of result dicts."""
     family = cfg.build_family()
-    E_test = _test_energy(family, cfg.prescription)
+    mu_ref = _mu_ref(family, cfg.prescription)
+    E_test = mu_ref - 0.3 * (mu_ref + family.mass)
+    # Phi(E_test), shared by three checks; not cached on failure, so each
+    # of them still reports the failure itself
+    phi = cache(lambda: assemble(family, E_test, cfg.prescription, cfg.manifold, cfg.quadrature))
 
     named = [
         ("yukawa_anchor", lambda: _check_yukawa(cfg)),
         ("oracle_equivalence", lambda: _check_oracle(cfg)),
         ("kernel_monotonicity", lambda: _check_monotone_kernel(cfg)),
-        ("bessel_sandwich", lambda: _check_bessel_sandwich(cfg)),
-        ("circle_semigroup", lambda: _check_circle_semigroup(cfg)),
-        ("poisson_duality", lambda: _check_poisson(cfg)),
-        ("matrix_hermiticity", lambda: _check_hermiticity(cfg, family, E_test)),
+        ("matrix_hermiticity", lambda: _check_hermiticity(phi())),
         ("derivative_negativity", lambda: _check_derivative_negativity(cfg, family, E_test)),
-        ("eigenvalue_monotonicity", lambda: _check_monotone_flow(cfg, family, E_test)),
-        ("perron_positivity", lambda: _check_perron(cfg, family, E_test)),
-        ("band_envelope", lambda: _check_band_envelope(cfg, family, E_test)),
+        ("eigenvalue_monotonicity", lambda: _check_monotone_flow(cfg, family, mu_ref)),
+        ("perron_positivity", lambda: _check_perron(phi())),
+        ("band_envelope", lambda: _check_band_envelope(cfg, family, E_test, phi())),
         ("beta_closed_form", lambda: _check_beta(cfg)),
-        ("flow_semigroup", lambda: _check_flow_semigroup(cfg)),
         ("rg_invariance", lambda: _check_rg_invariance(cfg, family)),
     ]
     report = []

@@ -189,3 +189,153 @@ def test_cli_solve_seventeen_digit_roundtrip(tmp_path):
     first = row.split(",")[0]
     # %.17g formatting round-trips doubles exactly
     assert float(first) == -0.9
+
+
+def _doc(**changes):
+    """MINIMAL with top-level keys replaced and `curves[0].shape` keys updated."""
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["curves"][0]["shape"].update(changes.pop("shape", {}))
+    doc.update(changes)
+    return doc
+
+
+TORUS = {"kind": "flat_torus3", "circumferences": [5.0, 5.0, 5.0]}
+SCAN = {"kind": "scan", "E_min": -0.9, "E_max": -0.1, "points": 3}
+FLOW = {"kind": "flow", "lambda_R": 1.0, "tau_min": 0.5, "tau_max": 2.0, "points": 3}
+
+REJECTED = [
+    # (id, document, strict, the path the error must start with)
+    ("json", "{", False, "config"),
+    ("root_not_object", [], False, "config"),
+    ("missing_task", {"curves": MINIMAL["curves"]}, False, "config.task"),
+    ("unknown_root_key", _doc(extra=1), True, "config.extra"),
+    ("mass_zero", _doc(mass=0), False, "config.mass"),
+    ("mass_bool", _doc(mass=True), False, "config.mass"),
+    ("mass_infinite", '{"mass": Infinity, "curves": [], "task": {"kind": "solve"}}', False,
+     "config.mass"),
+    ("radius_beyond_double", json.dumps(MINIMAL).replace('"radius": 1.0', '"radius": 1' + "0" * 400),
+     False, "config.curves[0].shape.radius"),
+    ("manifold_kind", _doc(manifold={"kind": "sphere"}), False, "config.manifold.kind"),
+    ("torus_circumference", _doc(manifold={"kind": "flat_torus3", "circumferences": [5, 0, 5]}),
+     False, "config.manifold"),
+    ("torus_missing_key", _doc(manifold={"kind": "flat_torus3"}), False,
+     "config.manifold.circumferences"),
+    ("hyperbolic_radius", _doc(manifold={"kind": "hyperbolic3", "curvature_radius": -1}), False,
+     "config.manifold"),
+    ("curves_empty", _doc(curves=[]), False, "config.curves"),
+    ("radius_negative", _doc(shape={"radius": -1.0}), False, "config.curves[0].shape"),
+    ("radius_string", _doc(shape={"radius": "1"}), False, "config.curves[0].shape.radius"),
+    ("center_length", _doc(shape={"center": [0, 0]}), False, "config.curves[0].shape.center"),
+    ("normal_zero", _doc(shape={"normal": [0, 0, 0]}), False, "config.curves[0].shape"),
+    ("shape_unknown_key", _doc(shape={"colour": "red"}), True, "config.curves[0].shape.colour"),
+    ("polyline_short", _doc(curves=[{"shape": {"kind": "parametric_samples",
+                                               "points": [[0, 0, 0], [1, 0, 0]]}, "mu": 0.0}]),
+     False, "config.curves[0].shape"),
+    ("winding_zero", _doc(manifold=TORUS, curves=[{"shape": {"kind": "torus_loop",
+                                                             "winding": [0, 0, 0]}, "mu": 0.0}]),
+     False, "config.curves[0].shape"),
+    ("winding_gcd", _doc(manifold=TORUS, curves=[{"shape": {"kind": "torus_loop",
+                                                            "winding": [2, 2, 0]}, "mu": 0.0}]),
+     False, "config.curves[0].shape"),
+    ("winding_float", _doc(manifold=TORUS, curves=[{"shape": {"kind": "torus_loop",
+                                                              "winding": [1.0, 0, 0]}, "mu": 0.0}]),
+     False, "config.curves[0].shape.winding[0]"),
+    ("loop_off_torus", _doc(curves=[{"shape": {"kind": "torus_loop", "winding": [1, 0, 0]},
+                                     "mu": 0.0}]), False, "config.curves"),
+    ("mu_at_mass", _doc(curves=[dict(MINIMAL["curves"][0], mu=-1.0)]), False, "config.curves[0].mu"),
+    ("prescription_mu_at_mass", _doc(prescription={"kind": "rg_scale", "mu": 1.0, "lambda_R": 1.0}),
+     False, "config.prescription.mu"),
+    ("prescription_coupling", _doc(prescription={"kind": "rg_scale", "mu": 0.5, "lambda_R": 0}),
+     False, "config.prescription"),
+    ("t_nodes_small", _doc(quadrature={"t_nodes": 8}), False, "config.quadrature"),
+    ("u_nodes_float", _doc(quadrature={"u_nodes": 24.0}), False, "config.quadrature.u_nodes"),
+    ("abs_tol_zero", _doc(quadrature={"abs_tol": 0}), False, "config.quadrature"),
+    ("panel_ratio_one", _doc(quadrature={"panel_ratio": 1}), False, "config.quadrature"),
+    ("series_not_a_key", _doc(quadrature={"series": {}}), True, "config.quadrature.series"),
+    ("log_nodes_small", _doc(quadrature={"sing_window": {"log_nodes": 2}}), False,
+     "config.quadrature.sing_window"),
+    # at 1.0 the far grid divided by log(1); below 1 it silently used one panel
+    ("far_panel_ratio_one", _doc(quadrature={"sing_window": {"far_panel_ratio": 1.0}}), False,
+     "config.quadrature.sing_window"),
+    ("far_panel_ratio_half", _doc(quadrature={"sing_window": {"far_panel_ratio": 0.5}}), False,
+     "config.quadrature.sing_window"),
+    ("sampling_nodes", _doc(sampling={"nodes": 4}), False, "config.sampling.nodes"),
+    ("task_kind", _doc(task={"kind": "warp"}), False, "config.task.kind"),
+    ("task_kind_list", _doc(task={"kind": ["solve"]}), False, "config.task.kind"),
+    ("bracket_null", _doc(task={"kind": "solve", "bracket": None}), False, "config.task.bracket"),
+    ("bracket_order", _doc(task={"kind": "solve", "bracket": [-0.1, -0.5]}), False,
+     "config.task.bracket"),
+    ("bracket_outside", _doc(task={"kind": "solve", "bracket": [-1.0, 0.5]}), False,
+     "config.task.bracket"),
+    ("scan_points", _doc(task=dict(SCAN, points=1)), False, "config.task"),
+    ("scan_order", _doc(task=dict(SCAN, E_min=0.1)), False, "config.task"),
+    ("scan_outside", _doc(task=dict(SCAN, E_max=1.0)), False, "config.task"),
+    ("scan_missing", _doc(task={"kind": "scan", "E_min": -0.5, "E_max": 0.5}), False,
+     "config.task.points"),
+    ("flow_tau_order", _doc(task=dict(FLOW, tau_min=3.0)), False, "config.task"),
+    ("flow_coupling", _doc(task=dict(FLOW, lambda_R=-1.0)), False, "config.task"),
+    ("task_unknown_key", _doc(task={"kind": "bounds", "E": 0}), True, "config.task.E"),
+]
+
+
+@pytest.mark.parametrize("doc,strict,prefix", [r[1:] for r in REJECTED],
+                         ids=[r[0] for r in REJECTED])
+def test_rejected_config_names_its_object(tmp_path, capsys, doc, strict, prefix):
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, strict=strict)
+    assert exc.value.path.startswith(prefix)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    flags = ["--strict"] if strict else []
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {prefix}")
+
+
+def test_effective_config_golden():
+    doc = {
+        "manifold": {"kind": "euclidean3"},
+        "mass": 2,
+        "curves": [
+            {"shape": {"kind": "circle", "center": [0, 0, 0], "radius": 1}, "mu": 0.5},
+            {"shape": {"kind": "parametric_samples",
+                       "points": [[5, 0, 0], [6, 0, 0], [5, 1, 0.5]]}, "mu": -0.25},
+        ],
+        "prescription": {"kind": "rg_scale", "mu": 1.5, "lambda_R": 3},
+        "quadrature": {"t_nodes": 40, "rel_tol": 1e-7, "panel_ratio": 3,
+                       "sing_window": {"log_depth": 20, "far_panel_ratio": 4}},
+        "sampling": {"nodes": 48},
+        "task": {"kind": "scan", "E_min": -1.5, "E_max": 1, "points": 5},
+    }
+    assert parse_config(json.dumps(doc), strict=True).effective == {
+        "manifold": {"kind": "euclidean3"},
+        "mass": 2.0,
+        "curves": [
+            {"shape": {"kind": "circle", "center": [0.0, 0.0, 0.0], "radius": 1.0,
+                       "normal": [0.0, 0.0, 1.0]}, "mu": 0.5},
+            {"shape": {"kind": "parametric_samples",
+                       "points": [[5.0, 0.0, 0.0], [6.0, 0.0, 0.0], [5.0, 1.0, 0.5]]},
+             "mu": -0.25},
+        ],
+        "prescription": {"kind": "rg_scale", "mu": 1.5, "lambda_R": 3.0},
+        "quadrature": {"t_nodes": 40, "u_nodes": 24, "rel_tol": 1e-7, "abs_tol": 1e-11,
+                       "panel_ratio": 3.0,
+                       "sing_window": {"log_depth": 20.0, "log_nodes": 20,
+                                       "far_panel_ratio": 4.0, "far_nodes": 24}},
+        "sampling": {"nodes": 48},
+        "task": {"kind": "scan", "E_min": -1.5, "E_max": 1.0, "points": 5},
+        "units": "lengths and energies in units set by the mass scale",
+    }
+
+
+def test_cli_solve_rg_scale_default_bracket(tmp_path):
+    doc = dict(PAIR, task={"kind": "solve"},
+               prescription={"kind": "rg_scale", "mu": 0.5, "lambda_R": 100.0})
+    doc["curves"] = [dict(PAIR["curves"][0]),
+                     {"shape": {"kind": "circle", "center": [3, 0, 0], "radius": 1.0}, "mu": 0.0}]
+    cfg = write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "solve.json").read_text())
+    assert payload["status"] == "converged"
+    assert payload["E_gr"] == pytest.approx(0.3984219414436173, abs=1e-8)

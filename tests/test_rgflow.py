@@ -112,3 +112,10 @@ def test_rg_invariance_tau_window(unit_circle):
         rg_invariance_residual(unit_circle, 0.0, 1.0, 0.5, 1.0, 8.0)
     with pytest.raises(DomainError):
         rg_invariance_residual(unit_circle, 0.0, 1.0, 0.5, 1.0, 0.1)
+
+
+def test_flow_profile_residuals_per_point():
+    prof = flow_profile(1.0, 0.5, 2.0, 11)
+    ode = ode_flow_values(1.0, prof.tau_grid)
+    assert np.array_equal(prof.residuals, np.abs(ode - prof.lambda_values) / prof.lambda_values)
+    assert prof.closed_form_residual == float(np.max(prof.residuals))

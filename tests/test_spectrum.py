@@ -8,6 +8,7 @@ from curvebound import (
     DomainError,
     Euclidean3,
     MinimalBoundState,
+    RGScale,
     assemble,
     eigen_decompose,
     family_geometry,
@@ -138,3 +139,12 @@ def test_feynman_hellman_random_family():
 def test_ground_state_bracket_validation(single_family):
     with pytest.raises(DomainError):
         ground_state_energy(single_family, bracket=(-0.5, -0.9))
+
+
+def test_rg_scale_default_bracket_stays_below_mu():
+    # the flow prescription needs E < mu, so the default top is the double below mu
+    fam = circle_family([1.0])
+    gs = ground_state_energy(fam, RGScale(mu=0.5, lambda_R=100.0))
+    assert gs.bracket[1] == math.nextafter(0.5, -math.inf)
+    assert gs.status == "converged"
+    assert gs.E_gr == pytest.approx(0.3984219414436173, abs=1e-8)
