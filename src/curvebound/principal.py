@@ -40,8 +40,6 @@ from .manifolds import (
     Euclidean3,
     ManifoldSpec,
     circle_heat_kernel,
-    displacement_distance,
-    heat_kernel_grid,
     pair_displacement,
 )
 from .quadrature import (
@@ -49,8 +47,8 @@ from .quadrature import (
     QuadratureConfig,
     SingWindowConfig,
     _HeatTrace,
+    _ambient_trace,
     _leggauss,
-    u_panel_breaks,
     weight_derivative,
     weight_plain,
     weight_renormalized,
@@ -179,15 +177,6 @@ class _FamilyTraces:
         e_max = max((abs(E) for E in energies), default=0.0)
         self.fingerprint = family_fingerprint(family, manifold)
 
-        def ambient(disp):
-            return lambda u: heat_kernel_grid(manifold, u, disp, cfg.series)
-
-        def intrinsic(xi, L):
-            return lambda u: circle_heat_kernel(u[:, None], xi, L, cfg.series)
-
-        def breaks(disp, e):
-            return u_panel_breaks(float(np.min(displacement_distance(manifold, disp))), m, e, cfg)
-
         self.traces, self.counter = {}, {}  # keyed (i, j), i <= j; counterterms by i
         for i, ci in enumerate(family.curves):
             xi, wt, band_mask = _inner_grid(ci, cfg.sing_window)
@@ -196,18 +185,19 @@ class _FamilyTraces:
             disp = pair_displacement(manifold, x, ci.point_at((outer[:, None] + xi).ravel()))
             cols = np.stack([wt, np.where(band_mask, wt, 0.0)])
             e_i = max(e_max, abs(family.mu[i])) if isinstance(p, MinimalBoundState) else e_max
-            b = breaks(disp, e_i)
             coeffs = np.tile(cols, len(outer)) / len(outer)
-            self.traces[i, i] = _HeatTrace(ambient(disp), coeffs, b, cfg)
+            self.traces[i, i] = _ambient_trace(manifold, disp, coeffs, m, e_i, cfg)
             if isinstance(p, RGScale):
-                self.counter[i] = _HeatTrace(intrinsic(xi, ci.length), cols, b, cfg, tail=True)
+                self.counter[i] = _HeatTrace(
+                    lambda u, xi, L=ci.length: circle_heat_kernel(u[:, None], xi, L, cfg.series),
+                    xi, np.abs(xi), cols, m, e_max, cfg, tail=True)
             for j in range(i + 1, len(family)):
                 cj = family.curves[j]
                 ni, nj = len(ci.nodes), len(cj.nodes)
                 disp = pair_displacement(manifold, np.repeat(ci.points, nj, axis=0),
                                          np.tile(cj.points, (ni, 1)))
                 scale = np.full(ni * nj, math.sqrt(ci.length * cj.length) / (ni * nj))
-                self.traces[i, j] = _HeatTrace(ambient(disp), scale, breaks(disp, e_max), cfg)
+                self.traces[i, j] = _ambient_trace(manifold, disp, scale, m, e_max, cfg)
 
     def _check(self, E):
         _check_energy(E, self.family.mass)

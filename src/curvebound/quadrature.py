@@ -22,7 +22,10 @@ embedded half-order rule.
 Only the weight depends on the energy.  A weighted sum of kernels over
 point pairs, T(u) = sum_p c_p K_u(disp_p), is therefore evaluated once on
 the u-rule nodes (``_HeatTrace``), and any energy's integral is the
-contraction sum_u g(u) w(E, u) T(u) with the rule weights g.
+contraction sum_u g(u) w(E, u) T(u) with the rule weights g.  The
+boundary-layer floor applies per pair: the ladder starts at the closest
+pair's floor, and a pair at distance d enters the sum only on the panels
+that reach above its own floor d^2/160.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ from .manifolds import (
 )
 
 _SQRT_PI = math.sqrt(math.pi)
+
+# e^{-d^2/4u} < 4e-18 for u < d^2/BOUNDARY_LAYER: a pair at distance d is
+# negligible below that floor
+BOUNDARY_LAYER = 160.0
 
 
 @dataclass(frozen=True)
@@ -158,14 +165,15 @@ def _panel_nodes(a, b, n):
 def u_panel_breaks(d_min, m, e_max, cfg: QuadratureConfig):
     """Geometric panel breakpoints covering the boundary layer and the tail.
 
-    The smallest pair distance sets the floor (e^{-d^2/4u} < 4e-18 below
-    d^2/160); e_max, the largest |energy| whose weight the rule must carry,
-    sets the cap 45/(m^2 - e_max^2).  The ladder steps by exactly
-    panel_ratio from a floor that does not depend on e_max, so the ladder for
-    a smaller e_max is a prefix of the one for a larger e_max.
+    The smallest pair distance sets the floor d_min^2/BOUNDARY_LAYER (larger
+    pairs are cut at their own floor by ``_HeatTrace``); e_max, the largest
+    |energy| whose weight the rule must carry, sets the cap
+    45/(m^2 - e_max^2).  The ladder steps by exactly panel_ratio from a floor
+    that does not depend on e_max, so the ladder for a smaller e_max is a
+    prefix of the one for a larger e_max.
     """
     u_top = 45.0 / (m * m - e_max * e_max)
-    u_floor = d_min * d_min / 160.0 if d_min > 0 else 1e-26 * 45.0 / (m * m)
+    u_floor = d_min * d_min / BOUNDARY_LAYER if d_min > 0 else 1e-26 * 45.0 / (m * m)
     u_floor = min(u_floor, 45.0 / (m * m * cfg.panel_ratio**2))
     n_panels = max(2, int(math.ceil(math.log(u_top / u_floor) / math.log(cfg.panel_ratio))))
     return u_floor * cfg.panel_ratio ** np.arange(n_panels + 1)
@@ -175,28 +183,48 @@ class _HeatTrace:
     """Energy-independent heat trace T(u) = sum_p c_p K_u(disp_p) of one entry.
 
     T is held per node of the full and of the embedded half-order u-rule on
-    the panels between breaks (plus, with tail, an algebraic panel
+    the panels of u_panel_breaks (plus, with tail, an algebraic panel
     u = u_top/s^2 out to infinity), one column per coefficient vector.  Every
     diffusion-time integral sum_p c_p int du w(u) K_u(disp_p) is then the
-    contraction of T with the rule weights times w.  kernel(u) returns the
-    (len(u), npairs) kernel block; it is called one panel at a time, on the
-    first contraction, so a trace that is never needed costs nothing.
+    contraction of T with the rule weights times w.
+
+    The pairs are sorted by their distance dist once; the ladder starts at
+    the floor of the closest one, and on a panel [a, b] only the prefix of
+    pairs with d^2 < BOUNDARY_LAYER b is evaluated (the tail panel takes
+    all).  What a cut pair would add is its kernel below its own floor: a
+    Gamma(1/2, 40) ~ 4e-19 share of its integral in Euclidean space, less on
+    Hyperbolic3 (rho/sinh rho <= 1, e^{-u/a^2} <= 1), and on FlatTorus3 a
+    sum of such Euclidean terms over images that are each at least as far
+    as the minimum image d (two per axis come near d while u < L_j^2/(4 pi)).
+
+    kernel(u, disp) returns the (len(u), len(disp)) kernel block; it is
+    called one panel at a time, on the first contraction, so a trace that is
+    never needed costs nothing.
     """
 
-    def __init__(self, kernel, coeffs, breaks, cfg: QuadratureConfig, tail=False):
-        self._build = (kernel, np.atleast_2d(coeffs).T, breaks, cfg, tail)
+    def __init__(self, kernel, disp, dist, coeffs, m, e_max, cfg: QuadratureConfig,
+                 tail=False):
+        order = np.argsort(dist, kind="stable")
+        d = np.asarray(dist, dtype=float)[order]
+        breaks = u_panel_breaks(float(d[0]), m, e_max, cfg)
+        self._build = (kernel, np.asarray(disp)[order], d * d,
+                       np.atleast_2d(coeffs).T[order], breaks, cfg, tail)
 
     @cached_property
     def rules(self):
         """(u nodes, rule weights, T) for the full and the half-order rule."""
-        kernel, coeffs, breaks, cfg, tail = self._build
+        kernel, disp, d2, coeffs, breaks, cfg, tail = self._build
+        active = np.searchsorted(d2, BOUNDARY_LAYER * breaks[1:]).tolist()
+        if tail:
+            active.append(len(d2))
         rules = []
         for n in (cfg.u_nodes, max(8, cfg.u_nodes // 2)):
             panels = [_panel_nodes(a, b, n) for a, b in zip(breaks[:-1], breaks[1:])]
             if tail:
                 s, w = _panel_nodes(0.0, 1.0, n)
                 panels.append((breaks[-1] / s**2, w * 2.0 * breaks[-1] / s**3))
-            trace = np.concatenate([kernel(u) @ coeffs for u, _ in panels])
+            trace = np.concatenate([kernel(u, disp[:k]) @ coeffs[:k]
+                                    for (u, _), k in zip(panels, active)])
             rules.append((np.concatenate([u for u, _ in panels]),
                           np.concatenate([w for _, w in panels]), trace))
         return rules
@@ -204,6 +232,12 @@ class _HeatTrace:
     def integrate(self, weight):
         """[full, half] rule values of int du weight(u) T(u), a column per coefficient vector."""
         return np.array([(w * weight(u)) @ trace for u, w, trace in self.rules])
+
+
+def _ambient_trace(manifold: ManifoldSpec, disp, coeffs, m, e_max, cfg: QuadratureConfig):
+    """_HeatTrace of the manifold's heat kernel over a pair_displacement batch."""
+    return _HeatTrace(lambda u, d: heat_kernel_grid(manifold, u, d, cfg.series), disp,
+                      displacement_distance(manifold, disp), coeffs, m, e_max, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +262,7 @@ def _pair_integral(weight, x, y, m, e_max, manifold, cfg, distinct=None):
     d = float(displacement_distance(manifold, disp)[0])
     if distinct and d <= 0:
         raise DomainError(f"{distinct} pair kernel requires distinct points")
-    trace = _HeatTrace(lambda u: heat_kernel_grid(manifold, u, disp, cfg.series), 1.0,
-                       u_panel_breaks(d, m, e_max, cfg), cfg)
-    full, half = trace.integrate(weight)[:, 0]
+    full, half = _ambient_trace(manifold, disp, 1.0, m, e_max, cfg).integrate(weight)[:, 0]
     return full, abs(full - half), d
 
 

@@ -23,7 +23,7 @@ from .curves import CurveFamily
 from .manifolds import Euclidean3, Hyperbolic3
 from .principal import RGScale, assemble, derivative_matrix
 from .quadrature import flat_resolvent_oracle, pair_kernel_plain, pair_kernel_renormalized
-from .rgflow import beta, rg_invariance_residual
+from .rgflow import FlowPoleError, beta, rg_invariance_residual
 from .spectrum import _sign_fix, eigen_decompose, spectral_flow
 
 
@@ -165,8 +165,13 @@ def _check_rg_invariance(cfg: RunConfig, family):
     for tau in (0.5, 2.0):
         if tau * abs(E) >= tau * m or tau * E >= mu:  # keep the scaled point subcritical
             return "skip", "scaled test energy leaves the valid window for this prescription"
-        worst = max(worst, rg_invariance_residual(family.curves[0], E, m, mu, lam, tau,
-                                                  cfg.quadrature))
+        try:
+            residual = rg_invariance_residual(family.curves[0], E, m, mu, lam, tau,
+                                              cfg.quadrature)
+        except FlowPoleError as exc:  # the running coupling does not exist at tau
+            return "skip", (f"tau = {tau} lies at or below the flow pole "
+                            f"tau* = {exc.tau_critical:.6e} of lambda_R = {lam}")
+        worst = max(worst, residual)
     return ("pass" if worst < 1e-6 else "fail",
             f"max relative rescaling residual at tau in {{1/2, 2}}: {worst:.3e}")
 

@@ -180,6 +180,22 @@ def test_cli_validate_default_passes(tmp_path):
     assert "fail" not in statuses.values()
 
 
+def test_cli_validate_skips_rg_invariance_below_flow_pole(tmp_path):
+    # lambda_R = 100 puts the flow pole at exp(-4 pi / 100) ~ 0.88, above the
+    # tau = 1/2 of the rescaling identity: the check cannot apply there
+    doc = json.loads(json.dumps(PAIR))
+    doc["curves"][1]["shape"]["center"] = [3, 0, 0]
+    doc["prescription"] = {"kind": "rg_scale", "mu": 0.5, "lambda_R": 100.0}
+    doc["task"] = {"kind": "validate"}
+    cfg = write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "validate.json").read_text())
+    statuses = {c["name"]: c["status"] for c in payload["checks"]}
+    assert statuses["rg_invariance"] == "skip"
+    assert payload["all_passed"] is True
+
+
 def test_cli_solve_seventeen_digit_roundtrip(tmp_path):
     cfg = write(tmp_path, PAIR)
     out = tmp_path / "o"
