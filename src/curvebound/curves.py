@@ -203,42 +203,43 @@ def _menger_curvature(points, manifold):
     return float(np.max(kappa))
 
 
-def _segment_pair_min_distance(p1, q1, p2, q2):
-    """Minimum distance between segments [p1,q1] and [p2,q2] (flat)."""
+def _segment_min_distances(p1, q1, p2, q2):
+    """Minimum distances between segment [p1,q1] and each segment [p2[k],q2[k]] (flat)."""
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
-    a = np.dot(d1, d1)
-    e = np.dot(d2, d2)
-    f = np.dot(d2, r)
-    c = np.dot(d1, r)
-    b = np.dot(d1, d2)
+    a = d1 @ d1
+    e = np.einsum("ij,ij->i", d2, d2)
+    f = np.einsum("ij,ij->i", d2, r)
+    c = r @ d1
+    b = d2 @ d1
     denom = a * e - b * b
-    s = np.clip((b * f - c * e) / denom, 0.0, 1.0) if denom > 1e-30 else 0.0
-    t = (b * s + f) / e
-    if t < 0.0:
-        t = 0.0
-        s = np.clip(-c / a, 0.0, 1.0)
-    elif t > 1.0:
-        t = 1.0
-        s = np.clip((b - c) / a, 0.0, 1.0)
-    return float(np.linalg.norm((p1 + s * d1) - (p2 + t * d2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(denom > 1e-30, np.clip((b * f - c * e) / denom, 0.0, 1.0), 0.0)
+        t = (b * s + f) / e
+        s = np.where(t < 0.0, np.clip(-c / a, 0.0, 1.0),
+                     np.where(t > 1.0, np.clip((b - c) / a, 0.0, 1.0), s))
+    t = np.clip(t, 0.0, 1.0)
+    return np.linalg.norm((p1 + s[:, None] * d1) - (p2 + t[:, None] * d2), axis=1)
 
 
 def _check_polyline_embedding(pts, length):
-    """Reject polylines whose non-adjacent segments touch."""
+    """Reject polylines whose non-adjacent segments touch.
+
+    Segment i is checked against every later non-adjacent segment j at once;
+    the error names the first touching (i, j) in row order.
+    """
     n = pts.shape[0]
     closed = np.vstack([pts, pts[:1]])
     floor = 1e-9 * length
-    for i in range(n):
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue  # shares the closing vertex
-            d = _segment_pair_min_distance(closed[i], closed[i + 1], closed[j], closed[j + 1])
-            if d < floor:
-                raise ValidationError(
-                    f"polyline self-intersects near segments {i} and {j}"
-                )
+    for i in range(n - 2):
+        j = np.arange(i + 2, n - 1 if i == 0 else n)  # 0 and n-1 share the closing vertex
+        d = _segment_min_distances(closed[i], closed[i + 1], closed[j], closed[j + 1])
+        touching = np.flatnonzero(d < floor)
+        if touching.size:
+            raise ValidationError(
+                f"polyline self-intersects near segments {i} and {j[touching[0]]}"
+            )
 
 
 def resample_arclength(

@@ -66,7 +66,12 @@ class KernelSeriesConfig:
 
     poisson_switch_u is in units of L^2.  The default 1/(4 pi) is the
     self-dual point where image and spectral sums need the same number of
-    terms; with 6 terms each the truncation tail at the switch is ~1e-40.
+    terms.  image_sum_radius and spectral_terms are caps: each call of
+    circle_heat_kernel keeps only the terms that can reach double precision
+    on its own u-range, every dropped term below e^-40 (~4e-18) of the
+    largest kept one.  Images: |k| <= K for the smallest K >= 1 with
+    K(K+1) L^2 > 160 u_max (at most 4 below the default switch).  Modes:
+    n <= floor(sqrt(10 L^2 / (pi^2 u_min))) (at most 3 above it).
     """
 
     image_sum_radius: int = 6
@@ -151,26 +156,57 @@ def _circle_images(u, xi, L, radius):
     return acc / np.sqrt(4.0 * math.pi * u)
 
 
+# a Gaussian factor below e^-GAUSSIAN_TAIL (~4e-18) is negligible: circle
+# series terms that far below the largest kept one are dropped, and
+# quadrature skips a pair below its boundary-layer floor
+GAUSSIAN_TAIL = 40.0
+
+
+def _image_radius(u_max, L, cap):
+    """Smallest K >= 1 (at most cap) with K(K+1) L^2 > 4 GAUSSIAN_TAIL u_max.
+
+    With |xi| <= L/2, image K+1 is then below e^-GAUSSIAN_TAIL of image 0.
+    """
+    k = 1
+    while k < cap and k * (k + 1) * L * L <= 4.0 * GAUSSIAN_TAIL * u_max:
+        k += 1
+    return k
+
+
+def _mode_count(u_min, L, cap):
+    """Largest n (at most cap) with 4 pi^2 n^2 u_min / L^2 <= GAUSSIAN_TAIL."""
+    return min(cap, int(math.sqrt(GAUSSIAN_TAIL * L * L / (4.0 * math.pi**2 * u_min))))
+
+
 def circle_heat_kernel(u, xi, L, cfg: KernelSeriesConfig = DEFAULT_SERIES):
     """Heat kernel on a circle of circumference L at arc separation xi.
 
     Broadcasts over array u and xi.  Switches between the spectral and the
-    Poisson-resummed image representation at u = poisson_switch_u * L^2.
+    Poisson-resummed image representation at u = poisson_switch_u * L^2, and
+    sums only the terms the call's u-range needs (see KernelSeriesConfig).
+    A call that straddles the switch is split, each side truncated at the
+    switch value.
     """
-    if L <= 0:
+    if not L > 0:
         raise DomainError("circumference must be positive")
     u_arr = np.asarray(u, dtype=float)
     xi_arr = np.asarray(xi, dtype=float)
-    if np.any(u_arr <= 0):
+    if not np.all(u_arr > 0):
         raise DomainError("diffusion time must be positive")
     scalar = u_arr.ndim == 0 and xi_arr.ndim == 0
-    u_b, xi_b = np.broadcast_arrays(u_arr, xi_arr)
-    out = np.empty(u_b.shape)
-    hi = u_b >= cfg.poisson_switch_u * L**2
-    if np.any(hi):
-        out[hi] = _circle_spectral(u_b[hi], xi_b[hi], L, cfg.spectral_terms)
-    if np.any(~hi):
-        out[~hi] = _circle_images(u_b[~hi], xi_b[~hi], L, cfg.image_sum_radius)
+    switch = cfg.poisson_switch_u * L**2
+    u_min, u_max = (u_arr.min(), u_arr.max()) if u_arr.size else (switch, switch)
+    if u_min >= switch:
+        out = _circle_spectral(u_arr, xi_arr, L, _mode_count(u_min, L, cfg.spectral_terms))
+    elif u_max < switch:
+        out = _circle_images(u_arr, xi_arr, L, _image_radius(u_max, L, cfg.image_sum_radius))
+    else:
+        u_b, xi_b = np.broadcast_arrays(u_arr, xi_arr)
+        out = np.empty(u_b.shape)
+        hi = u_b >= switch
+        out[hi] = _circle_spectral(u_b[hi], xi_b[hi], L, _mode_count(switch, L, cfg.spectral_terms))
+        out[~hi] = _circle_images(u_b[~hi], xi_b[~hi], L,
+                                  _image_radius(switch, L, cfg.image_sum_radius))
     return float(out) if scalar else out
 
 
@@ -244,7 +280,7 @@ def heat_kernel_grid(manifold: ManifoldSpec, u, disp, cfg: KernelSeriesConfig = 
 
 def heat_kernel(manifold: ManifoldSpec, u: float, x, y, cfg: KernelSeriesConfig = DEFAULT_SERIES) -> float:
     """Scalar heat kernel K_u(x, y) on the given manifold."""
-    if u <= 0:
+    if not u > 0:
         raise DomainError("diffusion time must be positive")
     x = _check_point(manifold, x)
     y = _check_point(manifold, y)

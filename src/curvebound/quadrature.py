@@ -39,6 +39,7 @@ from scipy import special
 
 from .manifolds import (
     DEFAULT_SERIES,
+    GAUSSIAN_TAIL,
     DomainError,
     Euclidean3,
     KernelSeriesConfig,
@@ -50,9 +51,9 @@ from .manifolds import (
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# e^{-d^2/4u} < 4e-18 for u < d^2/BOUNDARY_LAYER: a pair at distance d is
-# negligible below that floor
-BOUNDARY_LAYER = 160.0
+# e^{-d^2/4u} < e^-GAUSSIAN_TAIL for u < d^2/BOUNDARY_LAYER: a pair at
+# distance d is negligible below that floor
+BOUNDARY_LAYER = 4.0 * GAUSSIAN_TAIL
 
 
 @dataclass(frozen=True)

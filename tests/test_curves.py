@@ -139,3 +139,57 @@ def test_point_at_wraps_periodically():
     p1 = c.point_at(np.array([0.3]))
     p2 = c.point_at(np.array([0.3 + c.length]))
     assert np.allclose(p1, p2, atol=1e-12)
+
+
+def _figure_eight(n=16, lift=0.0):
+    """Lemniscate of Gerono through n vertices, none at the crossing.
+
+    Segments 3 and 11 cross at the origin; lift raises segment 3 and lowers
+    segment 11 by lift * sin(7 pi / 16), so they miss by 2 lift sin(7 pi / 16).
+    """
+    t = 2.0 * math.pi * (np.arange(n) + 0.5) / n
+    pts = np.stack([np.cos(t), np.sin(t) * np.cos(t), lift * np.sin(t)], axis=1)
+    return ParametricSamples(tuple(map(tuple, pts)))
+
+
+def test_figure_eight_polyline_names_its_crossing():
+    with pytest.raises(ValidationError, match="segments 3 and 11"):
+        resample_arclength(_figure_eight(), 64)
+
+
+def test_near_miss_polyline_is_accepted():
+    from curvebound.curves import _check_polyline_embedding
+
+    planar = np.asarray(_figure_eight().points)
+    length = float(np.sum(np.linalg.norm(np.roll(planar, -1, axis=0) - planar, axis=1)))
+    pts = np.asarray(_figure_eight(lift=0.5e-6 * length / math.sin(7.0 * math.pi / 16.0)).points)
+    _check_polyline_embedding(pts, length)
+    with pytest.raises(ValidationError, match="segments 3 and 11"):
+        _check_polyline_embedding(planar, length)
+
+
+def _segment_pair_min_distance(p1, q1, p2, q2):
+    """Loop reference: minimum distance between segments [p1,q1] and [p2,q2]."""
+    d1, d2, r = q1 - p1, q2 - p2, p1 - p2
+    a, e, f, c, b = d1 @ d1, d2 @ d2, d2 @ r, d1 @ r, d1 @ d2
+    denom = a * e - b * b
+    s = min(max((b * f - c * e) / denom, 0.0), 1.0) if denom > 1e-30 else 0.0
+    t = (b * s + f) / e
+    if t < 0.0:
+        t, s = 0.0, min(max(-c / a, 0.0), 1.0)
+    elif t > 1.0:
+        t, s = 1.0, min(max((b - c) / a, 0.0), 1.0)
+    return float(np.linalg.norm((p1 + s * d1) - (p2 + t * d2)))
+
+
+def test_segment_distances_match_pairwise_loop():
+    from curvebound.curves import _segment_min_distances
+
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        p1, q1 = rng.normal(size=(2, 3))
+        p2, q2 = rng.normal(size=(2, 40, 3))
+        q2[:5] = p2[:5] + 0.3 * (q1 - p1)  # parallel to [p1, q1]
+        got = _segment_min_distances(p1, q1, p2, q2)
+        ref = [_segment_pair_min_distance(p1, q1, p2[k], q2[k]) for k in range(40)]
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)

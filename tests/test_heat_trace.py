@@ -259,3 +259,28 @@ def test_polyline_kernel_work_skips_pairs_below_their_floor(kernel_counter):
     pairs = len(_diagonal_pairs(family.curves[0], EUCLID)[0])
     u_nodes = sum(len(u) for u, _, _ in traces.traces[0, 0].rules)
     assert 0 < evaluated <= 0.35 * pairs * u_nodes
+
+
+def test_torus_kernel_sums_only_live_series_terms(monkeypatch):
+    # each call truncates its image and mode sums to its own u-range; the
+    # caps of KernelSeriesConfig (13 images, 6 modes) are upper bounds
+    summed = {"images": [0, 0], "modes": [0, 0]}  # [terms, elements]
+    for side, name, per in (("images", "_circle_images", lambda r: 2 * r + 1),
+                            ("modes", "_circle_spectral", lambda n: n)):
+        original = getattr(curvebound.manifolds, name)
+
+        def counted(u, xi, L, terms, side=side, original=original, per=per):
+            size = math.prod(np.broadcast_shapes(np.shape(u), np.shape(xi)))
+            summed[side][0] += per(terms) * size
+            summed[side][1] += size
+            return original(u, xi, L, terms)
+
+        monkeypatch.setattr(curvebound.manifolds, name, counted)
+    traces = _FamilyTraces(_torus_loop_family(), MinimalBoundState(), TORUS,
+                           DEFAULT_QUADRATURE, [-0.6])
+    assert traces.traces[0, 0].rules
+    images, image_elements = summed["images"]
+    modes, mode_elements = summed["modes"]
+    assert image_elements > 0 and mode_elements > 0
+    assert images <= 0.3 * 13 * image_elements
+    assert modes <= 3 * mode_elements

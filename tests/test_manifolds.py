@@ -139,3 +139,44 @@ def test_domain_errors():
         Hyperbolic3(0.0)
     with pytest.raises(DomainError):
         circle_heat_kernel(-0.1, 0.0, 2.0 * math.pi)
+
+
+def test_nan_diffusion_time_is_a_domain_error():
+    L = 2.0 * math.pi
+    with pytest.raises(DomainError):
+        circle_heat_kernel(math.nan, 0.3, L)
+    with pytest.raises(DomainError):
+        circle_heat_kernel(np.array([[0.1], [math.nan]]), np.array([0.0, 0.3]), L)
+    with pytest.raises(DomainError):
+        heat_kernel(Euclidean3(), math.nan, np.zeros(3), np.ones(3))
+    with pytest.raises(DomainError):
+        heat_kernel(FlatTorus3((1.0, 2.0, 3.0)), math.nan, np.zeros(3), np.ones(3))
+    assert circle_heat_kernel(math.inf, 0.3, L) == 1.0 / L
+
+
+@pytest.mark.parametrize("L", [0.7, 2.0 * math.pi, 5.0])
+def test_circle_kernel_truncation_matches_full_series(L):
+    # the full-length series of KernelSeriesConfig's caps is the reference;
+    # the per-call truncation may only drop terms below rounding
+    from curvebound.manifolds import DEFAULT_SERIES, _circle_images, _circle_spectral
+
+    u = L**2 * np.logspace(-12.0, 2.0, 1401)
+    xi = np.concatenate([np.linspace(-L, L, 161), [-0.5 * L, 0.5 * L, np.nextafter(0.5 * L, 0)]])
+    switch = DEFAULT_SERIES.poisson_switch_u * L**2
+    ref = np.where(u[:, None] >= switch,
+                   _circle_spectral(u[:, None], xi, L, DEFAULT_SERIES.spectral_terms),
+                   _circle_images(u[:, None], xi, L, DEFAULT_SERIES.image_sum_radius))
+    scale = np.where(ref > 0, ref, 1.0)
+
+    def check(got, want, where):
+        assert np.all(np.abs(got - want) <= 2e-16 * where), np.max(np.abs(got - want) / where)
+
+    for lo in range(0, len(u), 7):  # column-by-row grid calls, one side each but one
+        check(circle_heat_kernel(u[lo:lo + 7, None], xi, L), ref[lo:lo + 7], scale[lo:lo + 7])
+    check(circle_heat_kernel(u[:, None], xi, L), ref, scale)  # straddles the switch
+    assert u[0] < switch <= u[-1]
+    for a in range(0, len(u), 50):
+        for b in range(0, len(xi), 20):
+            got = circle_heat_kernel(float(u[a]), float(xi[b]), L)
+            assert isinstance(got, float)
+            check(got, ref[a, b], scale[a, b])
