@@ -42,8 +42,10 @@ class FlatTorus3:
     circumferences: tuple[float, float, float]
 
     def __post_init__(self):
-        if len(self.circumferences) != 3 or any(c <= 0 for c in self.circumferences):
-            raise DomainError("torus circumferences must be three positive lengths")
+        ls = tuple(float(c) for c in self.circumferences)
+        if len(ls) != 3 or not all(0 < c < math.inf for c in ls):
+            raise DomainError("torus circumferences must be three positive finite lengths")
+        object.__setattr__(self, "circumferences", ls)  # a tuple of floats, hashable
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,8 @@ class Hyperbolic3:
     curvature_radius: float
 
     def __post_init__(self):
-        if self.curvature_radius <= 0:
-            raise DomainError("curvature radius must be positive")
+        if not 0 < self.curvature_radius < math.inf:
+            raise DomainError("curvature radius must be positive and finite")
 
 
 ManifoldSpec = Union[Euclidean3, FlatTorus3, Hyperbolic3]

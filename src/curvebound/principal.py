@@ -20,14 +20,20 @@ makes the inner integral position independent.
 Only the u-weight depends on the energy, so every entry of Phi(E), of
 dPhi/dE and of the flow variant is sum_u g(u) W(E, u) T(u) over one heat
 trace T per curve pair (the kernel summed over that pair's (s, s') nodes
-with their curve weights), built once and contracted per energy with W =
-w_mu_i - w_E, -w_E, -w'_E, or the counterterm constant minus w_E.
+with their curve weights), contracted per energy with W = w_mu_i - w_E,
+-w_E, -w'_E, or the counterterm constant minus w_E.  The traces are built
+once per (family, manifold, quadrature config) and kept for as long as the
+family lives; every later call on that family (assemble, derivative_matrix,
+spectral_flow, ground_state_energy, feynman_hellman_residual) only
+contracts them, over exactly the u-panels its own energies need.  A family
+is therefore treated as immutable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Union
 
@@ -48,6 +54,7 @@ from .quadrature import (
     SingWindowConfig,
     _HeatTrace,
     _ambient_trace,
+    _contract,
     _leggauss,
     weight_derivative,
     weight_plain,
@@ -154,18 +161,75 @@ def _counterterm_weight(mu):
     return lambda u: special.erfcx(mu * np.sqrt(u)) / (8.0 * math.pi * u)
 
 
-class _FamilyTraces:
-    """The heat traces of every entry of Phi, built once for a set of energies.
+# family -> {(manifold, cfg): _TraceStore}; an entry dies with its family
+_STORES = weakref.WeakKeyDictionary()
+
+
+class _TraceStore:
+    """The heat traces of one family on one manifold under one quadrature config.
+
+    Built once per (family, manifold, cfg) and shared by every later call on
+    that family, so a family is treated as immutable.  The store holds
+    geometry only: no energy, mu or prescription (its u-ladders follow the
+    family's mass), and no reference to the family, so it is freed together
+    with it.
 
     Diagonal i: the kernel averaged over (outer node, inner xi) pairs with the
     inner-grid weights, one column for the whole xi range and one for the
     |xi| < delta band.  Off-diagonal (i, j): the kernel summed over the
-    periodic node tensor with weight sqrt(L_i L_j)/(n_i n_j).  Under RGScale
-    each diagonal also gets its E-independent counterterm: the
-    intrinsic-circle kernel on the same xi grid against erfcx(mu sqrt u)/(8 pi
-    u), with an algebraic tail panel since that weight decays only like
-    u^{-3/2}.  The u-rules reach out to the largest |E| in energies (and to
-    each |mu_i| under MinimalBoundState); a trace is evaluated on first use.
+    periodic node tensor with weight sqrt(L_i L_j)/(n_i n_j).  Counterterm i,
+    created on first RGScale use: the intrinsic-circle kernel on the same xi
+    grid, contracted with erfcx(mu sqrt u)/(8 pi u), with an algebraic tail
+    panel since that weight decays only like u^{-3/2}.  Each trace evaluates
+    its u-panels on first use and appends panels when a call needs a longer
+    ladder; a call contracts exactly the ladder its own energies need.
+    """
+
+    def __init__(self, family: CurveFamily, manifold: ManifoldSpec, cfg: QuadratureConfig):
+        self.cfg = cfg
+        self.traces, self._grids, self._counter = {}, [], {}  # traces keyed (i, j), i <= j
+        for i, ci in enumerate(family.curves):
+            xi, wt, band_mask = _inner_grid(ci, cfg.sing_window)
+            outer = ci.nodes[:1] if ci.homogeneous else ci.nodes
+            x = np.repeat(ci.point_at(outer), len(xi), axis=0)
+            disp = pair_displacement(manifold, x, ci.point_at((outer[:, None] + xi).ravel()))
+            cols = np.stack([wt, np.where(band_mask, wt, 0.0)])
+            coeffs = np.tile(cols, len(outer)) / len(outer)
+            self.traces[i, i] = _ambient_trace(manifold, disp, coeffs, cfg)
+            self._grids.append((xi, cols, ci.length))
+            for j in range(i + 1, len(family)):
+                cj = family.curves[j]
+                ni, nj = len(ci.nodes), len(cj.nodes)
+                disp = pair_displacement(manifold, np.repeat(ci.points, nj, axis=0),
+                                         np.tile(cj.points, (ni, 1)))
+                scale = np.full(ni * nj, math.sqrt(ci.length * cj.length) / (ni * nj))
+                self.traces[i, j] = _ambient_trace(manifold, disp, scale, cfg)
+
+    def counterterm(self, i):
+        """The RGScale counterterm trace of curve i (its xi grid and L do not depend on mu)."""
+        if i not in self._counter:
+            xi, cols, L = self._grids[i]
+            series = self.cfg.series
+            self._counter[i] = _HeatTrace(
+                lambda u, xi: circle_heat_kernel(u[:, None], xi, L, series),
+                xi, np.abs(xi), cols, self.cfg, tail=True)
+        return self._counter[i]
+
+
+def _trace_store(family: CurveFamily, manifold: ManifoldSpec, cfg: QuadratureConfig):
+    """The family's _TraceStore for (manifold, cfg), built on first use."""
+    stores = _STORES.setdefault(family, {})
+    if (manifold, cfg) not in stores:
+        stores[manifold, cfg] = _TraceStore(family, manifold, cfg)
+    return stores[manifold, cfg]
+
+
+class _Contraction:
+    """One call's reading of a family's trace store for a set of energies.
+
+    The prescription and the largest |energy| fix the ladder of each trace:
+    e_max, and on a diagonal under MinimalBoundState max(e_max, |mu_i|).
+    mu and the mass are read from the family.
     """
 
     def __init__(self, family: CurveFamily, p: Prescription, manifold: ManifoldSpec,
@@ -173,41 +237,33 @@ class _FamilyTraces:
         self.family, self.p, self.cfg = family, p, cfg
         for E in energies:
             self._check(E)
-        m = family.mass
-        e_max = max((abs(E) for E in energies), default=0.0)
+        self.e_max = max((abs(E) for E in energies), default=0.0)
         self.fingerprint = family_fingerprint(family, manifold)
-
-        self.traces, self.counter = {}, {}  # keyed (i, j), i <= j; counterterms by i
-        for i, ci in enumerate(family.curves):
-            xi, wt, band_mask = _inner_grid(ci, cfg.sing_window)
-            outer = ci.nodes[:1] if ci.homogeneous else ci.nodes
-            x = np.repeat(ci.point_at(outer), len(xi), axis=0)
-            disp = pair_displacement(manifold, x, ci.point_at((outer[:, None] + xi).ravel()))
-            cols = np.stack([wt, np.where(band_mask, wt, 0.0)])
-            e_i = max(e_max, abs(family.mu[i])) if isinstance(p, MinimalBoundState) else e_max
-            coeffs = np.tile(cols, len(outer)) / len(outer)
-            self.traces[i, i] = _ambient_trace(manifold, disp, coeffs, m, e_i, cfg)
-            if isinstance(p, RGScale):
-                self.counter[i] = _HeatTrace(
-                    lambda u, xi, L=ci.length: circle_heat_kernel(u[:, None], xi, L, cfg.series),
-                    xi, np.abs(xi), cols, m, e_max, cfg, tail=True)
-            for j in range(i + 1, len(family)):
-                cj = family.curves[j]
-                ni, nj = len(ci.nodes), len(cj.nodes)
-                disp = pair_displacement(manifold, np.repeat(ci.points, nj, axis=0),
-                                         np.tile(cj.points, (ni, 1)))
-                scale = np.full(ni * nj, math.sqrt(ci.length * cj.length) / (ni * nj))
-                self.traces[i, j] = _ambient_trace(manifold, disp, scale, m, e_max, cfg)
+        self.store = _trace_store(family, manifold, cfg)
+        self._rules = {}  # (i, j, counterterm) -> that trace's rules on this call's ladder
 
     def _check(self, E):
         _check_energy(E, self.family.mass)
         if isinstance(self.p, RGScale) and not E < self.p.mu:
             raise DomainError("flow prescription requires E < mu")
 
+    def _integrate(self, weight, i, j, counterterm=False):
+        key = (i, j, counterterm)
+        if key not in self._rules:
+            e = self.e_max
+            if counterterm:
+                trace = self.store.counterterm(i)
+            else:
+                trace = self.store.traces[i, j]
+                if i == j and isinstance(self.p, MinimalBoundState):
+                    e = max(e, abs(self.family.mu[i]))
+            self._rules[key] = trace.rules(self.family.mass, e)
+        return _contract(self._rules[key], weight)
+
     def phi(self, E):
         """(entries, err, band) of Phi(E), unchecked against the tolerance.
 
-        E must lie within the largest |energy| the traces were built for.
+        |E| must not exceed the largest |energy| the call was set up for.
         """
         self._check(E)
         fam, p, m = self.family, self.p, self.family.mass
@@ -219,16 +275,17 @@ class _FamilyTraces:
         # [full rule, half rule] x entry, the diagonal's band column apart
         r = np.zeros((2, n, n))
         band = np.zeros(n)
-        for (i, j), trace in self.traces.items():
+        for i, j in self.store.traces:
             if i != j:
-                d = -trace.integrate(w_E)
+                d = -self._integrate(w_E, i, j)
             elif isinstance(p, RGScale):
-                d = self.counter[i].integrate(_counterterm_weight(p.mu)) - trace.integrate(w_E)
+                d = (self._integrate(_counterterm_weight(p.mu), i, i, counterterm=True)
+                     - self._integrate(w_E, i, i))
                 d[:, 0] += 1.0 / p.lambda_R
             elif E == fam.mu[i]:  # the subtraction weight vanishes identically
                 d = np.zeros((2, 2))
             else:
-                d = trace.integrate(lambda u: weight_renormalized(u, E, fam.mu[i], m))
+                d = self._integrate(lambda u: weight_renormalized(u, E, fam.mu[i], m), i, i)
             r[:, i, j] = r[:, j, i] = d[:, 0]
             if i == j:
                 band[i] = d[0, 1]
@@ -239,8 +296,9 @@ class _FamilyTraces:
         _check_energy(E, self.family.mass)
         m, n = self.family.mass, len(self.family)
         out = np.zeros((n, n))
-        for (i, j), trace in self.traces.items():
-            out[i, j] = out[j, i] = -trace.integrate(lambda u: weight_derivative(u, E, m))[0, 0]
+        for i, j in self.store.traces:
+            out[i, j] = out[j, i] = -self._integrate(lambda u: weight_derivative(u, E, m),
+                                                     i, j)[0, 0]
         return out
 
     def matrix(self, E) -> PrincipalMatrix:
@@ -291,7 +349,7 @@ def assemble(
     Raises ConvergenceError when any entry's quadrature error estimate
     exceeds abs_tol + rel_tol |value|.
     """
-    return _FamilyTraces(family, p, manifold, cfg, [E]).matrix(E)
+    return _Contraction(family, p, manifold, cfg, [E]).matrix(E)
 
 
 def derivative_matrix(
@@ -302,7 +360,7 @@ def derivative_matrix(
 ) -> np.ndarray:
     """dPhi/dE, prescription independent: every entry is a negative integral
     of the (strictly positive) energy-derivative pair kernel."""
-    return _FamilyTraces(family, MinimalBoundState(), manifold, cfg, [E]).dphi(E)
+    return _Contraction(family, MinimalBoundState(), manifold, cfg, [E]).dphi(E)
 
 
 def rg_assemble(
@@ -316,5 +374,4 @@ def rg_assemble(
 ) -> float:
     """Scalar flow-prescription principal value Phi_R(E) for one curve."""
     family = CurveFamily(curves=(curve,), mu=np.zeros(1), d_matrix=np.zeros((1, 1)), mass=m)
-    traces = _FamilyTraces(family, RGScale(mu, lambda_R), manifold, cfg, [E])
-    return float(traces.phi(E)[0][0, 0])
+    return float(_Contraction(family, RGScale(mu, lambda_R), manifold, cfg, [E]).phi(E)[0][0, 0])

@@ -25,14 +25,16 @@ the u-rule nodes (``_HeatTrace``), and any energy's integral is the
 contraction sum_u g(u) w(E, u) T(u) with the rule weights g.  The
 boundary-layer floor applies per pair: the ladder starts at the closest
 pair's floor, and a pair at distance d enters the sum only on the panels
-that reach above its own floor d^2/160.
+that reach above its own floor d^2/160.  A trace appends panels when an
+energy needs a longer ladder, and each integral contracts exactly the
+ladder of its own energies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -198,47 +200,66 @@ class _HeatTrace:
     sum of such Euclidean terms over images that are each at least as far
     as the minimum image d (two per axis come near d while u < L_j^2/(4 pi)).
 
-    kernel(u, disp) returns the (len(u), len(disp)) kernel block; it is
-    called one panel at a time, on the first contraction, so a trace that is
-    never needed costs nothing.
+    The ladder grows on demand: rules(m, e_max) evaluates only the panels
+    that the ladder for e_max has beyond those already held, and returns
+    exactly that ladder (with its own tail panel), so a result never depends
+    on which larger ladders were asked for before.  A trace serves one mass
+    m.  kernel(u, disp) returns the (len(u), len(disp)) kernel block; a
+    trace that is never contracted costs nothing.
     """
 
-    def __init__(self, kernel, disp, dist, coeffs, m, e_max, cfg: QuadratureConfig,
-                 tail=False):
+    def __init__(self, kernel, disp, dist, coeffs, cfg: QuadratureConfig, tail=False):
         order = np.argsort(dist, kind="stable")
         d = np.asarray(dist, dtype=float)[order]
-        breaks = u_panel_breaks(float(d[0]), m, e_max, cfg)
-        self._build = (kernel, np.asarray(disp)[order], d * d,
-                       np.atleast_2d(coeffs).T[order], breaks, cfg, tail)
+        self._d_min, self._d2 = float(d[0]), d * d
+        self._kernel, self._disp = kernel, np.asarray(disp)[order]
+        self._coeffs = np.atleast_2d(coeffs).T[order]
+        self._cfg, self._tail = cfg, tail
+        self._orders = (cfg.u_nodes, max(8, cfg.u_nodes // 2))
+        self._panels = ([], [])  # (u nodes, rule weights, T) of each held panel, per rule
+        self._rules = {}  # panel count -> the rules() of that ladder
 
-    @cached_property
-    def rules(self):
-        """(u nodes, rule weights, T) for the full and the half-order rule."""
-        kernel, disp, d2, coeffs, breaks, cfg, tail = self._build
-        active = np.searchsorted(d2, BOUNDARY_LAYER * breaks[1:]).tolist()
-        if tail:
-            active.append(len(d2))
-        rules = []
-        for n in (cfg.u_nodes, max(8, cfg.u_nodes // 2)):
-            panels = [_panel_nodes(a, b, n) for a, b in zip(breaks[:-1], breaks[1:])]
-            if tail:
-                s, w = _panel_nodes(0.0, 1.0, n)
-                panels.append((breaks[-1] / s**2, w * 2.0 * breaks[-1] / s**3))
-            trace = np.concatenate([kernel(u, disp[:k]) @ coeffs[:k]
-                                    for (u, _), k in zip(panels, active)])
-            rules.append((np.concatenate([u for u, _ in panels]),
-                          np.concatenate([w for _, w in panels]), trace))
-        return rules
+    def _trace(self, u, k):
+        return self._kernel(u, self._disp[:k]) @ self._coeffs[:k]
 
-    def integrate(self, weight):
+    def rules(self, m, e_max):
+        """(u nodes, rule weights, T) for the full and the half-order rule on
+        the ladder that carries the weights of energies up to e_max."""
+        breaks = u_panel_breaks(self._d_min, m, e_max, self._cfg)
+        n = len(breaks) - 1
+        if n not in self._rules:
+            held = len(self._panels[0])
+            active = np.searchsorted(self._d2, BOUNDARY_LAYER * breaks[held + 1:]).tolist()
+            for a, b, k in zip(breaks[held:-1], breaks[held + 1:], active):
+                for panels, nodes in zip(self._panels, self._orders):
+                    u, w = _panel_nodes(a, b, nodes)
+                    panels.append((u, w, self._trace(u, k)))
+            rules = []
+            for panels, nodes in zip(self._panels, self._orders):
+                ladder = panels[:n]
+                if self._tail:
+                    s, w = _panel_nodes(0.0, 1.0, nodes)
+                    u = breaks[-1] / s**2
+                    ladder = ladder + [(u, w * 2.0 * breaks[-1] / s**3,
+                                        self._trace(u, len(self._d2)))]
+                rules.append(tuple(np.concatenate(x) for x in zip(*ladder)))
+            self._rules[n] = rules
+        return self._rules[n]
+
+    def integrate(self, weight, m, e_max):
         """[full, half] rule values of int du weight(u) T(u), a column per coefficient vector."""
-        return np.array([(w * weight(u)) @ trace for u, w, trace in self.rules])
+        return _contract(self.rules(m, e_max), weight)
 
 
-def _ambient_trace(manifold: ManifoldSpec, disp, coeffs, m, e_max, cfg: QuadratureConfig):
+def _contract(rules, weight):
+    """[full, half] rule values of int du weight(u) T(u) from _HeatTrace.rules."""
+    return np.array([(w * weight(u)) @ trace for u, w, trace in rules])
+
+
+def _ambient_trace(manifold: ManifoldSpec, disp, coeffs, cfg: QuadratureConfig):
     """_HeatTrace of the manifold's heat kernel over a pair_displacement batch."""
     return _HeatTrace(lambda u, d: heat_kernel_grid(manifold, u, d, cfg.series), disp,
-                      displacement_distance(manifold, disp), coeffs, m, e_max, cfg)
+                      displacement_distance(manifold, disp), coeffs, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +284,7 @@ def _pair_integral(weight, x, y, m, e_max, manifold, cfg, distinct=None):
     d = float(displacement_distance(manifold, disp)[0])
     if distinct and d <= 0:
         raise DomainError(f"{distinct} pair kernel requires distinct points")
-    full, half = _ambient_trace(manifold, disp, 1.0, m, e_max, cfg).integrate(weight)[:, 0]
+    full, half = _ambient_trace(manifold, disp, 1.0, cfg).integrate(weight, m, e_max)[:, 0]
     return full, abs(full - half), d
 
 

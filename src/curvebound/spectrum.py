@@ -7,9 +7,10 @@ bisection is globally safe; a guarded secant step takes over once the bracket
 is small.  For a single curve under the bound-state prescription the zero
 sits exactly at E = mu by construction.
 
-Each call evaluates the family's heat traces once, over the u-rule that its
-energies need (the grid, the bracket, or E +- h), and contracts them per
-energy; only the u-weight depends on E.
+Each call contracts the family's heat traces per energy over the u-rule
+that its energies need (the grid, the bracket, or E +- h); only the u-weight
+depends on E.  The traces are built on the first call on a family and
+shared by every later one (see principal).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .principal import (
     Prescription,
     PrincipalMatrix,
     QuadratureConfig,
-    _FamilyTraces,
+    _Contraction,
 )
 
 _DISCONNECT_EPS = 1e-14
@@ -74,7 +75,7 @@ def spectral_flow(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> SpectralFlowResult:
     energies = np.asarray(energies, dtype=float)
-    traces = _FamilyTraces(family, p, manifold, cfg, energies)
+    traces = _Contraction(family, p, manifold, cfg, energies)
     n = len(family)
     vals = np.zeros((len(energies), n))
     ground = np.zeros((len(energies), n))
@@ -122,7 +123,7 @@ def ground_state_energy(
 
     tol_e = 1e-8 * m
     evals = 0
-    traces = _FamilyTraces(family, p, manifold, cfg, (lo, hi))
+    traces = _Contraction(family, p, manifold, cfg, (lo, hi))
 
     f_hi, M_hi = _omega_min(traces, hi)
     evals += 1
@@ -185,7 +186,7 @@ def feynman_hellman_residual(
     m = family.mass
     if h is None:
         h = 1e-4 * m
-    traces = _FamilyTraces(family, p, manifold, cfg, (E - h, E + h))
+    traces = _Contraction(family, p, manifold, cfg, (E - h, E + h))
     vals, vecs = np.linalg.eigh(traces.matrix(E).entries)
     analytic = np.einsum("ik,ij,jk->k", vecs, traces.dphi(E), vecs)
 

@@ -13,7 +13,6 @@ rather than failed.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
@@ -181,9 +180,9 @@ def run_validation_suite(cfg: RunConfig) -> list:
     family = cfg.build_family()
     mu_ref = _mu_ref(family, cfg.prescription)
     E_test = mu_ref - 0.3 * (mu_ref + family.mass)
-    # Phi(E_test), shared by three checks; not cached on failure, so each
-    # of them still reports the failure itself
-    phi = cache(lambda: assemble(family, E_test, cfg.prescription, cfg.manifold, cfg.quadrature))
+
+    def phi():  # a repeat is one contraction of the family's traces
+        return assemble(family, E_test, cfg.prescription, cfg.manifold, cfg.quadrature)
 
     named = [
         ("yukawa_anchor", lambda: _check_yukawa(cfg)),

@@ -196,6 +196,17 @@ def test_cli_validate_skips_rg_invariance_below_flow_pole(tmp_path):
     assert payload["all_passed"] is True
 
 
+def test_validate_phi_checks_each_report_a_convergence_error():
+    from curvebound.validate import run_validation_suite
+
+    doc = dict(MINIMAL, task={"kind": "validate"},
+               quadrature={"u_nodes": 16, "rel_tol": 1e-300, "abs_tol": 1e-300})
+    report = {c["name"]: c for c in run_validation_suite(parse_config(json.dumps(doc)))}
+    for name in ("matrix_hermiticity", "perron_positivity", "band_envelope"):
+        assert report[name]["status"] == "fail"
+        assert report[name]["detail"].startswith("raised ConvergenceError")
+
+
 def test_cli_solve_seventeen_digit_roundtrip(tmp_path):
     cfg = write(tmp_path, PAIR)
     out = tmp_path / "o"

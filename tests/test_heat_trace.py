@@ -1,19 +1,24 @@
 """One heat trace per curve pair, contracted per energy.
 
-spectral_flow, ground_state_energy and feynman_hellman_residual evaluate the
-kernel once per call and contract the traces with each energy's weight; the
-result must be the per-energy assemble to rounding, and the kernel work must
-not grow with the number of energies.  Each pair enters a trace only on the
-u-panels above its own boundary-layer floor; the result must be the
+spectral_flow, ground_state_energy and feynman_hellman_residual contract the
+traces with each energy's weight; the result must be the per-energy assemble
+to rounding, and the kernel work must not grow with the number of energies.
+The traces of a family are built once per (manifold, quadrature config) and
+shared by every later call on it: a later call evaluates only the u-panels
+no earlier call needed, returns what the same call returns on a fresh
+family, and the traces die with the family.  Each pair enters a trace only
+on the u-panels above its own boundary-layer floor; the result must be the
 all-pairs evaluation to rounding.
 """
 
+import gc
 import importlib
 import math
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +45,11 @@ from curvebound import (
     resample_arclength,
     spectral_flow,
 )
+from curvebound import principal
 from curvebound.manifolds import circle_heat_kernel, heat_kernel_grid
-from curvebound.principal import _counterterm_weight, _FamilyTraces, _inner_grid
+from curvebound.principal import _counterterm_weight, _inner_grid, _trace_store
 from curvebound.quadrature import (
+    BOUNDARY_LAYER,
     DEFAULT_QUADRATURE,
     u_panel_breaks,
     weight_plain,
@@ -124,12 +131,12 @@ def kernel_counter(monkeypatch):
 
 
 def test_spectral_flow_kernel_work_is_one_assembly(kernel_counter):
-    family = circle_family([1.0], mus=[0.1, -0.2])
     energies = np.linspace(-0.7, 0.2, 6)
-    assemble(family, -0.7)
+    assemble(circle_family([1.0], mus=[0.1, -0.2]), -0.7)
     one = kernel_counter[0]
     kernel_counter[0] = 0
-    spectral_flow(family, energies)
+    # a fresh family: the first one's traces are already built
+    spectral_flow(circle_family([1.0], mus=[0.1, -0.2]), energies)
     assert 0 < kernel_counter[0] <= 1.2 * one
 
 
@@ -221,31 +228,36 @@ PRUNING_CASES = {
 def test_pruned_traces_match_all_pairs(name):
     make, p, manifold, E = PRUNING_CASES[name]
     family = make()
-    traces = _FamilyTraces(family, p, manifold, DEFAULT_QUADRATURE, [E])
+    store = _trace_store(family, manifold, DEFAULT_QUADRATURE)
     curves = family.curves
+    rg = isinstance(p, RGScale)
 
     def minus_plain(u):
         return -weight_plain(u, E, 1.0)
 
-    checks = []  # (trace, all-pairs kernel(u), coefficients, weight)
-    for (i, j), trace in traces.traces.items():
+    checks = []  # (trace, all-pairs kernel(u), coefficients, weight, ladder's e_max)
+    for (i, j), trace in store.traces.items():
         if i != j:
             disp, coeffs = _offdiagonal_pairs(curves[i], curves[j], manifold)
-            weight = minus_plain
+            weight, e_max = minus_plain, abs(E)
         else:
             disp, coeffs = _diagonal_pairs(curves[i], manifold)
-            weight = minus_plain if isinstance(p, RGScale) else (
+            weight = minus_plain if rg else (
                 lambda u, mu=family.mu[i]: weight_renormalized(u, E, mu, 1.0))
+            e_max = abs(E) if rg else max(abs(E), abs(family.mu[i]))
         checks.append((trace, lambda u, disp=disp: heat_kernel_grid(manifold, u, disp),
-                       coeffs, weight))
-    for i, trace in traces.counter.items():
+                       coeffs, weight, e_max))
+    for i in range(len(curves)) if rg else ():
         xi, wt, band = _inner_grid(curves[i], DEFAULT_QUADRATURE.sing_window)
         L = curves[i].length
-        checks.append((trace, lambda u, xi=xi, L=L: circle_heat_kernel(u[:, None], xi, L),
-                       np.stack([wt, np.where(band, wt, 0.0)]), _counterterm_weight(p.mu)))
-    for trace, kernel, coeffs, weight in checks:
-        full, half = trace.integrate(weight)
-        ref_full, ref_half = [(w * weight(u)) @ (kernel(u) @ coeffs.T) for u, w, _ in trace.rules]
+        checks.append((store.counterterm(i),
+                       lambda u, xi=xi, L=L: circle_heat_kernel(u[:, None], xi, L),
+                       np.stack([wt, np.where(band, wt, 0.0)]), _counterterm_weight(p.mu),
+                       abs(E)))
+    for trace, kernel, coeffs, weight, e_max in checks:
+        full, half = trace.integrate(weight, 1.0, e_max)
+        ref_full, ref_half = [(w * weight(u)) @ (kernel(u) @ coeffs.T)
+                              for u, w, _ in trace.rules(1.0, e_max)]
         scale = np.max(np.abs(ref_full))
         assert np.max(np.abs(full - ref_full)) <= 1e-14 * scale
         assert np.max(np.abs(np.abs(full - half) - np.abs(ref_full - ref_half))) <= 1e-14 * scale
@@ -255,9 +267,9 @@ def test_polyline_kernel_work_skips_pairs_below_their_floor(kernel_counter):
     family, E = _polyline_family(), -0.6
     assemble(family, E)
     evaluated = kernel_counter[0]
-    traces = _FamilyTraces(family, MinimalBoundState(), EUCLID, DEFAULT_QUADRATURE, [E])
+    trace = _trace_store(family, EUCLID, DEFAULT_QUADRATURE).traces[0, 0]
     pairs = len(_diagonal_pairs(family.curves[0], EUCLID)[0])
-    u_nodes = sum(len(u) for u, _, _ in traces.traces[0, 0].rules)
+    u_nodes = sum(len(u) for u, _, _ in trace.rules(1.0, abs(E)))
     assert 0 < evaluated <= 0.35 * pairs * u_nodes
 
 
@@ -276,11 +288,97 @@ def test_torus_kernel_sums_only_live_series_terms(monkeypatch):
             return original(u, xi, L, terms)
 
         monkeypatch.setattr(curvebound.manifolds, name, counted)
-    traces = _FamilyTraces(_torus_loop_family(), MinimalBoundState(), TORUS,
-                           DEFAULT_QUADRATURE, [-0.6])
-    assert traces.traces[0, 0].rules
+    store = _trace_store(_torus_loop_family(), TORUS, DEFAULT_QUADRATURE)
+    assert store.traces[0, 0].rules(1.0, 0.6)
     images, image_elements = summed["images"]
     modes, mode_elements = summed["modes"]
     assert image_elements > 0 and mode_elements > 0
     assert images <= 0.3 * 13 * image_elements
     assert modes <= 3 * mode_elements
+
+
+def test_assemble_then_derivative_evaluates_each_kernel_node_once(kernel_counter):
+    family, E = _polyline_family(), -0.6
+    assemble(family, E)
+    derivative_matrix(family, E)
+    # one diagonal trace: every pair on each full- and half-rule node of the
+    # panels above its own floor, on the ladder both calls need
+    cfg = DEFAULT_QUADRATURE
+    d = np.sort(_diagonal_pairs(family.curves[0], EUCLID)[0])
+    breaks = u_panel_breaks(float(d[0]), 1.0, max(abs(E), abs(family.mu[0])), cfg)
+    nodes = cfg.u_nodes + max(8, cfg.u_nodes // 2)
+    assert kernel_counter[0] == sum(nodes * int(np.searchsorted(d * d, BOUNDARY_LAYER * b))
+                                    for b in breaks[1:])
+
+
+def test_assemble_at_the_ground_state_evaluates_no_kernel(kernel_counter):
+    family = circle_family([1.0], mus=[0.1, -0.2])
+    gs = ground_state_energy(family)
+    assert gs.status == "converged" and kernel_counter[0] > 0
+    kernel_counter[0] = 0
+    assemble(family, gs.E_gr)
+    assert kernel_counter[0] == 0
+
+
+def _history_calls(p, manifold):
+    """(name, call) pairs; each call maps a family to an array of its results."""
+    narrow, wide = [-0.3, -0.2], [-0.9, -0.4, 0.1, 0.4]
+    bracket = (-0.9, 0.45) if isinstance(p, RGScale) else None
+
+    def matrix(family):
+        M = assemble(family, -0.25, p, manifold)
+        return np.concatenate([M.entries, M.err, [M.band_contributions]])
+
+    def fh(family):
+        res = feynman_hellman_residual(family, -0.35, manifold, p=p)
+        return np.concatenate([res.analytic_slopes, res.fd_slopes])
+
+    return [
+        ("flow_narrow", lambda f: spectral_flow(f, narrow, p, manifold).eigenvalues),
+        ("flow_wide", lambda f: spectral_flow(f, wide, p, manifold).eigenvalues),
+        ("assemble", matrix),
+        ("derivative", lambda f: derivative_matrix(f, -0.25, manifold)),
+        ("ground_state", lambda f: np.array(
+            [ground_state_energy(f, p, manifold, bracket=bracket).E_gr])),
+        ("feynman_hellman", fh),
+    ]
+
+
+HISTORY_CASES = {
+    "circle_pair": CASES["circle_pair"],
+    "rg_pair": CASES["rg_pair"],
+    "torus_loop": CASES["torus_loop"],
+    "hyperbolic_pair": PRUNING_CASES["hyperbolic_pair"][:3],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HISTORY_CASES))
+def test_results_do_not_depend_on_call_history(name):
+    # each call on a family used before, in either order, narrow ladders
+    # before wide ones and back, equals the same call on a fresh family bit
+    # for bit: both contract the same u-panels in the same order
+    make, p, manifold = HISTORY_CASES[name]
+    calls = _history_calls(p, manifold)
+    fresh = {key: call(make()) for key, call in calls}
+    for order in (calls, calls[::-1]):
+        family = make()
+        for key, call in order:
+            got = call(family)
+            np.testing.assert_array_equal(got, fresh[key], err_msg=key)
+
+
+def test_traces_die_with_their_family():
+    gc.disable()  # no cycle may hold a family or its traces
+    try:
+        stores = len(principal._STORES)
+        family = circle_family([1.0], mus=[0.1, -0.2])
+        ground_state_energy(family)
+        assemble(family, -0.3, RGScale(mu=0.5, lambda_R=100.0))
+        store = weakref.ref(_trace_store(family, EUCLID, DEFAULT_QUADRATURE))
+        alive = weakref.ref(family)
+        assert len(principal._STORES) == stores + 1
+        del family
+        assert alive() is None and store() is None
+        assert len(principal._STORES) == stores
+    finally:
+        gc.enable()

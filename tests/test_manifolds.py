@@ -154,6 +154,22 @@ def test_nan_diffusion_time_is_a_domain_error():
     assert circle_heat_kernel(math.inf, 0.3, L) == 1.0 / L
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_manifold_lengths_must_be_finite(bad):
+    # heat_kernel returned NaN on either manifold once it was accepted
+    with pytest.raises(DomainError):
+        FlatTorus3((bad, 1.0, 1.0))
+    with pytest.raises(DomainError):
+        Hyperbolic3(bad)
+
+
+def test_torus_circumferences_are_a_hashable_tuple_of_floats():
+    t = FlatTorus3([5, 5, 5])
+    assert t.circumferences == (5.0, 5.0, 5.0)
+    assert all(type(c) is float for c in t.circumferences)
+    assert hash(t) == hash(FlatTorus3((5.0, 5.0, 5.0))) and t == FlatTorus3((5.0, 5.0, 5.0))
+
+
 @pytest.mark.parametrize("L", [0.7, 2.0 * math.pi, 5.0])
 def test_circle_kernel_truncation_matches_full_series(L):
     # the full-length series of KernelSeriesConfig's caps is the reference;
