@@ -86,6 +86,13 @@ CurveSpec = Union[Circle, ParametricSamples, TorusLoop]
 # arc-length evaluators
 
 
+def _read_only(*arrays):
+    """Mark arrays read-only: traces built from a curve stay valid only while
+    its geometry cannot change in place."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 class _CircleEval:
     def __init__(self, center, radius, normal):
         self.center = np.asarray(center, dtype=float)
@@ -98,6 +105,7 @@ class _CircleEval:
         self.e1 = e1 / np.linalg.norm(e1)
         self.e2 = np.cross(n, self.e1)
         self.length = 2.0 * math.pi * self.radius
+        _read_only(self.center, self.e1, self.e2)
 
     def __call__(self, s):
         theta = np.asarray(s, dtype=float) / self.radius
@@ -121,6 +129,7 @@ class _PolylineEval:
         self.breaks = np.concatenate([[0.0], np.cumsum(seg)])
         self.closed = closed
         self.length = float(self.breaks[-1])
+        _read_only(self.breaks, self.closed)
 
     def __call__(self, s):
         s = np.mod(np.asarray(s, dtype=float), self.length)
@@ -137,6 +146,7 @@ class _AffineEval:
         self.offset = np.asarray(offset, dtype=float)
         self.direction = np.asarray(direction, dtype=float)
         self.length = float(np.linalg.norm(direction))
+        _read_only(self.offset, self.direction)
 
     def __call__(self, s):
         t = np.asarray(s, dtype=float)[:, None] / self.length
@@ -148,7 +158,11 @@ class _AffineEval:
 
 @dataclass(frozen=True, eq=False)
 class SampledCurve:
-    """Arc-length sampled closed curve with derived geometry."""
+    """Arc-length sampled closed curve with derived geometry.
+
+    nodes, points, weights and the evaluator's arrays are read-only: the heat
+    traces of a family are built once and reused, so its curves are immutable.
+    """
 
     nodes: np.ndarray
     points: np.ndarray
@@ -160,6 +174,9 @@ class SampledCurve:
     homogeneous: bool = False
     window_resolved: bool = True
     evaluator: object = field(repr=False, default=None)
+
+    def __post_init__(self):
+        _read_only(self.nodes, self.points, self.weights)
 
     def point_at(self, s):
         """Embedded coordinates at arc positions s (vectorized)."""

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .curves import CurveFamily, SampledCurve
 from .manifolds import (
@@ -55,6 +54,7 @@ from .quadrature import (
     _HeatTrace,
     _ambient_trace,
     _contract,
+    _erfcx,
     _leggauss,
     weight_derivative,
     weight_plain,
@@ -158,7 +158,7 @@ def _inner_grid(curve: SampledCurve, sw: SingWindowConfig):
 
 def _counterterm_weight(mu):
     """erfcx(mu sqrt u)/(8 pi u): the intrinsic-circle counterterm's u-weight."""
-    return lambda u: special.erfcx(mu * np.sqrt(u)) / (8.0 * math.pi * u)
+    return lambda u: _erfcx(mu * np.sqrt(u)) / (8.0 * math.pi * u)
 
 
 # family -> {(manifold, cfg): _TraceStore}; an entry dies with its family

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .manifolds import (
     DEFAULT_SERIES,
@@ -114,13 +113,28 @@ class PairKernelValue:
 # subordination weights, overflow-safe
 
 
+_erfcx_ufunc = None
+
+
+def _erfcx(z):
+    """Scaled complementary error function e^{z^2} erfc(z).
+
+    scipy.special is imported on the first call, so a run that evaluates no
+    subordination weight (a one-circle bound, the coupling flow) never loads it.
+    """
+    global _erfcx_ufunc
+    if _erfcx_ufunc is None:
+        from scipy.special import erfcx as _erfcx_ufunc
+    return _erfcx_ufunc(z)
+
+
 def weight_plain(u, E, m):
     """w_E(u): the Gaussian t-integral folded with e^{-m^2 u}."""
     u = np.asarray(u, dtype=float)
     z = abs(E) * np.sqrt(u)
     if E >= 0:
-        return np.exp(-(m * m - E * E) * u) - 0.5 * np.exp(-m * m * u) * special.erfcx(z)
-    return 0.5 * np.exp(-m * m * u) * special.erfcx(z)
+        return np.exp(-(m * m - E * E) * u) - 0.5 * np.exp(-m * m * u) * _erfcx(z)
+    return 0.5 * np.exp(-m * m * u) * _erfcx(z)
 
 
 def weight_renormalized(u, E, mu, m):
@@ -132,7 +146,7 @@ def _g_tail(z):
     z = np.asarray(z, dtype=float)
     out = np.empty(z.shape)
     small = z <= 10.0
-    out[small] = 1.0 / _SQRT_PI - z[small] * special.erfcx(z[small])
+    out[small] = 1.0 / _SQRT_PI - z[small] * _erfcx(z[small])
     zb = z[~small]
     iz2 = 1.0 / (zb * zb)
     s = 0.5 * iz2 * (1.0 - iz2 * (1.5 - iz2 * (3.75 - iz2 * (13.125 - iz2 * 59.0625))))
@@ -157,6 +171,27 @@ def weight_derivative(u, E, m):
 @lru_cache(maxsize=64)
 def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)
+
+
+@lru_cache(maxsize=8)
+def _gauss_laguerre(n, alpha):
+    """n-point Gauss rule for the weight x^alpha e^{-x} on (0, inf), alpha > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    generalized Laguerre recurrence, and each weight is Gamma(alpha + 1)
+    times the squared first component of its eigenvector.  Finite at any n,
+    where rules that evaluate the polynomials turn NaN (the nodes of scipy's
+    roots_genlaguerre at n = 400, the weights of numpy's laggauss at
+    n = 200).  Weights below about 1e-16 of the largest carry only absolute
+    accuracy.  The arrays are shared between callers and so read-only.
+    """
+    k = np.arange(n, dtype=float)
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vecs = np.linalg.eigh(jacobi)
+    weights = math.gamma(alpha + 1.0) * vecs[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _panel_nodes(a, b, n):

@@ -19,12 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 from .curves import SampledCurve
 from .manifolds import DomainError, Euclidean3, ManifoldSpec, circle_heat_kernel
 from .principal import DEFAULT_QUADRATURE, QuadratureConfig, rg_assemble
-from .quadrature import _leggauss
+from .quadrature import _gauss_laguerre, _leggauss
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -51,9 +50,12 @@ def beta(lambda_R: float, L: float = 2.0 * math.pi,
     """Beta function of the coupling; negative for every positive coupling.
 
     method "closed_form" returns -lambda^2/(4 pi) directly; "quadrature" runs
-    the four-fold integral with Gauss-Laguerre rules in t and in the mapped
-    diffusion time u = t^2/(4w), and a kernel-width-adaptive Legendre rule in
-    the relative angle.
+    the four-fold integral with Gauss-Laguerre rules in t (cfg.t_nodes points,
+    weight e^{-t}) and in the mapped diffusion time u = t^2/(4w)
+    (cfg.u_nodes points, weight w^{-1/2} e^{-w}), and a kernel-width-adaptive
+    Legendre rule in the relative angle.  Both Laguerre rules come from the
+    Golub-Welsch eigenvalue method in NumPy, so they stay finite at any node
+    count.
     """
     if lambda_R <= 0 or L <= 0:
         raise DomainError("beta needs lambda_R > 0 and L > 0")
@@ -63,8 +65,8 @@ def beta(lambda_R: float, L: float = 2.0 * math.pi,
     if method != "quadrature":
         raise DomainError(f"unknown beta method {method!r}")
 
-    t_nodes, t_w = roots_genlaguerre(cfg.t_nodes, 0.0)   # weight e^{-t}
-    w_nodes, w_w = roots_genlaguerre(cfg.u_nodes, -0.5)  # weight w^{-1/2} e^{-w}
+    t_nodes, t_w = _gauss_laguerre(cfg.t_nodes, 0.0)   # weight e^{-t}
+    w_nodes, w_w = _gauss_laguerre(cfg.u_nodes, -0.5)  # weight w^{-1/2} e^{-w}
     gx, gw = _leggauss(2 * cfg.u_nodes)
 
     # I = int dxi int dt t e^{-t} int du e^{-t^2/4u} u^{-3/2} K_u(xi).
@@ -109,36 +111,51 @@ def flow_coupling(lambda_mu: float, tau: float) -> float:
 def ode_flow_values(lambda_mu: float, taus) -> np.ndarray:
     """lambda(tau) by direct integration of d lambda/d log tau = beta(lambda).
 
-    Independent of the closed form; used as its cross-check.
+    Independent of the closed form; used as its cross-check.  Classical RK4
+    in s = log tau marches outward from s = 0 through the sorted targets on
+    each side of tau = 1, with step h = min(1/256, 4 pi/(512 |lambda|)) at the
+    current coupling, so a step never moves lambda by more than about 1/512
+    of itself; the last step onto each target is shortened.  Raises
+    FlowPoleError when the march reaches the pole: the coupling turns
+    non-finite or the step falls below the resolution of s.
     """
     taus = np.asarray(taus, dtype=float)
     if np.any(taus <= 0):
         raise DomainError("tau values must be positive")
-    out = np.full(taus.shape, lambda_mu)
-    from scipy.integrate import solve_ivp  # deferred: only this cross-check needs it
+    logs = np.log(taus)
+    out = np.full(taus.shape, float(lambda_mu))
 
-    def rhs(_, y):
-        return [-y[0] * y[0] / _FOUR_PI]
+    def rhs(y):
+        return -y * y / _FOUR_PI
 
-    for lo in (True, False):
-        sel = taus < 1.0 if lo else taus > 1.0
-        if not np.any(sel):
-            continue
-        end = math.log(np.min(taus[sel]) if lo else np.max(taus[sel]))
-        sol = solve_ivp(rhs, (0.0, end), [lambda_mu], rtol=1e-12, atol=1e-14,
-                        dense_output=True)
-        if not sol.success:
-            raise FlowPoleError("flow integration failed (pole inside range?)",
-                                tau_critical=math.exp(-_FOUR_PI / lambda_mu))
-        out[sel] = sol.sol(np.log(taus[sel]))[0]
+    for sign in (-1.0, 1.0):
+        side = np.flatnonzero(sign * logs > 0)
+        s, y = 0.0, float(lambda_mu)
+        for k in side[np.argsort(sign * logs[side])]:
+            target = float(logs[k])
+            while s != target:
+                # min(1/256, 4 pi/(512 |y|)), written to stay finite at y = 0
+                h_max = 1.0 / (256.0 * max(1.0, abs(y) / (2.0 * math.pi)))
+                h = sign * min(abs(target - s), h_max)
+                if not math.isfinite(y) or s + h == s:
+                    raise FlowPoleError("flow integration hit the pole",
+                                        tau_critical=math.exp(-_FOUR_PI / lambda_mu))
+                k1 = rhs(y)
+                k2 = rhs(y + 0.5 * h * k1)
+                k3 = rhs(y + 0.5 * h * k2)
+                k4 = rhs(y + h * k3)
+                y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                s = target if abs(target - s) <= abs(h) else s + h
+            out[k] = y
     return out
 
 
 def flow_profile(lambda_mu: float, tau_min: float, tau_max: float, points: int) -> FlowResult:
     """Flow sampled on a geometric tau grid, with an ODE cross-check.
 
-    residuals are the relative gaps between the closed form and a high-order
-    integration of d lambda / d log tau = beta(lambda) from tau=1;
+    residuals are the relative gaps between the closed form and the RK4
+    integration of d lambda / d log tau = beta(lambda) from tau = 1
+    (ode_flow_values), about 1e-10 or less up to the pole;
     closed_form_residual is the worst of them.
     """
     if not 0 < tau_min <= tau_max or points < 2:

@@ -156,6 +156,18 @@ def test_cli_flow_output(tmp_path):
     assert all(float(r[3]) < 1e-8 for r in rows)
 
 
+def test_cli_flow_with_many_t_nodes(tmp_path):
+    doc = dict(MINIMAL, quadrature={"t_nodes": 400},
+               task={"kind": "flow", "lambda_R": 1.0, "tau_min": 0.5,
+                     "tau_max": 2.0, "points": 3})
+    cfg = write(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
+    header = next(line for line in (out / "flow.csv").read_text().splitlines()
+                  if line.startswith("# beta_quadrature"))
+    assert float(header.split()[2]) == pytest.approx(-1.0 / (4.0 * math.pi), rel=1e-12)
+
+
 def test_cli_bounds_output(tmp_path):
     doc = json.loads(json.dumps(PAIR))
     doc["task"] = {"kind": "bounds"}

@@ -124,6 +124,22 @@ def test_torus_loop_geometry():
     assert c.homogeneous
 
 
+@pytest.mark.parametrize("shape, manifold", [
+    (Circle(center=(0, 0, 0), radius=1.0, normal=(0, 0, 1)), EUCLID),
+    (ParametricSamples(((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0))), EUCLID),
+    (TorusLoop((1, 1, 0), (0.0, 0.0, 0.5)), FlatTorus3((1.0, 1.0, 1.0))),
+], ids=["circle", "polyline", "torus_loop"])
+def test_sampled_geometry_is_read_only(shape, manifold):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        c = resample_arclength(shape, 32, manifold)
+    for curve in (c, c.rescaled(2.0)):
+        arrays = [curve.nodes, curve.points, curve.weights]
+        arrays += [v for v in vars(curve.evaluator).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) > 3
+        assert not any(a.flags.writeable for a in arrays)
+
+
 def test_torus_loop_needs_torus():
     with pytest.raises((DomainError, ValidationError)):
         resample_arclength(TorusLoop((1, 0, 0), (0.0, 0.0, 0.0)), 32, EUCLID)

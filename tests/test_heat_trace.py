@@ -167,12 +167,32 @@ def test_hyperbolic_distance_resolves_near_coincidence():
     assert d[0] == pytest.approx(1e-10, rel=1e-12)
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    code = "import sys, curvebound.cli; print('scipy.integrate' in sys.modules)"
+@pytest.mark.parametrize("command", [None, "bounds", "flow"], ids=["import", "bounds", "flow"])
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path, command):
+    """Neither the import nor a bounds or flow run loads any part of scipy.
+
+    A one-circle bound evaluates no special function, and the flow builds its
+    Laguerre rules and its ODE cross-check in NumPy.
+    """
+    code = "import sys, curvebound.cli\n"
+    if command is not None:
+        cfg = Path(__file__).parents[1] / "perfbench" / "configs" / f"{command}.json"
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
+        code += f"assert curvebound.cli.main({argv!r}) == 0\n"
+    code += "print('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(curvebound.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_family_geometry_cannot_move_in_place():
+    # the traces of a family are built once, so an in-place edit of a curve
+    # would leave later calls on stale traces
+    f = circle_family([1.0])
+    assemble(f, -0.5, manifold=EUCLID)
+    with pytest.raises(ValueError):
+        f.curves[1].points[:, 0] += 5
 
 
 def _polyline_family():

@@ -6,12 +6,14 @@ import pytest
 from curvebound import (
     DomainError,
     FlowPoleError,
+    QuadratureConfig,
     beta,
     flow_coupling,
     flow_profile,
     ode_flow_values,
     rg_invariance_residual,
 )
+from curvebound.quadrature import _gauss_laguerre
 
 FOUR_PI = 4.0 * math.pi
 
@@ -37,6 +39,25 @@ def test_beta_length_independence():
 
 def test_beta_closed_form_route():
     assert beta(1.5, method="closed_form") == -1.5 * 1.5 / FOUR_PI
+
+
+def test_beta_at_many_t_nodes():
+    # a 400-point Laguerre rule built from the polynomials themselves has NaN nodes
+    got = beta(1.0, cfg=QuadratureConfig(t_nodes=400))
+    assert got == pytest.approx(-1.0 / FOUR_PI, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5])
+@pytest.mark.parametrize("n", [16, 24, 32, 64, 150])
+def test_gauss_laguerre_matches_scipy(n, alpha):
+    from scipy.special import roots_genlaguerre
+
+    x, w = _gauss_laguerre(n, alpha)
+    x_ref, w_ref = roots_genlaguerre(n, alpha)
+    assert np.max(np.abs(x - x_ref) / x_ref) < 1e-11
+    # the smallest weights carry only absolute accuracy
+    big = w_ref > 1e-10 * np.max(w_ref)
+    assert np.max(np.abs(w[big] - w_ref[big]) / w_ref[big]) < 1e-10
 
 
 def test_beta_domain():
@@ -86,6 +107,20 @@ def test_ode_cross_check():
     lams = np.array([flow_coupling(1.0, float(t)) for t in taus])
     ode = ode_flow_values(1.0, taus)
     assert float(np.max(np.abs(ode - lams) / lams)) < 1e-8
+
+
+@pytest.mark.parametrize("lam, tau", [(1.0, 3.6e-6), (1.0, 1e-5), (2.0, 0.05), (10.0, 0.3),
+                                      (0.5, 1e6)])
+def test_ode_matches_closed_form_up_to_the_pole(lam, tau):
+    # tau = 3.6e-6 lies just above the pole exp(-4 pi) ~ 3.49e-6 of lambda = 1
+    got = float(ode_flow_values(lam, [tau])[0])
+    assert got == pytest.approx(flow_coupling(lam, tau), rel=1e-10)
+
+
+def test_ode_past_the_pole_raises():
+    with pytest.raises(FlowPoleError) as exc:
+        ode_flow_values(1.0, [1e-6])
+    assert exc.value.tau_critical == pytest.approx(math.exp(-FOUR_PI), rel=1e-12)
 
 
 def test_flow_profile_contract():
