@@ -9,12 +9,10 @@ bounds and the renormalization-group flow of the coupling.
 """
 
 from .manifolds import (
-    DEFAULT_SERIES,
     DomainError,
     Euclidean3,
     FlatTorus3,
     Hyperbolic3,
-    KernelSeriesConfig,
     ManifoldSpec,
     circle_heat_kernel,
     geodesic_distance,

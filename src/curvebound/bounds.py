@@ -101,16 +101,14 @@ def diagonal_lower_bound(E, mu_min, m, L_min, constants: BoundConstants = BoundC
     return constants.A * math.sqrt(constants.D) / (8.0 * math.pi**2) * val
 
 
-def offdiagonal_upper_bound(E, m, d_min, L_max, constants: BoundConstants = BoundConstants(),
-                            V: float | None = None) -> float:
+def offdiagonal_upper_bound(E, m, d_min, L_max, constants: BoundConstants = BoundConstants()) -> float:
     """Upper bound on |Phi_ij|, i != j; decreasing in d_min, pole at E = m."""
     _check_subthreshold(m, E)
     if d_min <= 0:
         raise DomainError("d_min must be positive")
     if L_max <= 0:
         raise DomainError("L_max must be positive")
-    if V is None:
-        V = constants.V
+    V = constants.V
     sc = math.sqrt(constants.C)
     main = (
         constants.B * sc / (4.0 * math.pi**2)
@@ -122,6 +120,10 @@ def offdiagonal_upper_bound(E, m, d_min, L_max, constants: BoundConstants = Boun
     return main + vol
 
 
+# energies on which gersgorin_threshold looks for the first sign change
+_GRID_POINTS = 512
+
+
 @dataclass(frozen=True)
 class GersgorinResult:
     E_star: float
@@ -129,44 +131,36 @@ class GersgorinResult:
     bracket: tuple
 
 
-def gersgorin_threshold(
-    family: CurveFamily,
-    m: float | None = None,
-    constants: BoundConstants = BoundConstants(),
-    N: int | None = None,
-    grid_points: int = 512,
-) -> GersgorinResult:
+def gersgorin_threshold(family: CurveFamily, constants: BoundConstants = BoundConstants()) -> GersgorinResult:
     """Threshold E* with E_gr >= E* from disk exclusion.
 
     Solves diagonal_lower_bound(E) = (N-1) * offdiagonal_upper_bound(E) on
-    (-m, mu_min).  The left side falls and the right side rises with E, so a
-    crossing is unique.  With no crossing the result degrades gracefully:
-    dominance everywhere pins E* = mu_min ("holds_on_whole_bracket"); exclusion
-    nowhere returns the vacuous E* = -m ("no_exclusion").  N = 1 disks have
-    zero radius, so E* = mu_1 exactly.
+    (-m, mu_min), with m the family's mass and N its number of curves: the
+    first sign change on _GRID_POINTS energies, then bisected.  The left side
+    falls and the right side rises with E, so a crossing is unique.  With no
+    crossing the result degrades gracefully: dominance everywhere pins
+    E* = mu_min ("holds_on_whole_bracket"); exclusion nowhere returns the
+    vacuous E* = -m ("no_exclusion").  N = 1 disks have zero radius, so
+    E* = mu_1 exactly.
     """
-    if m is None:
-        m = family.mass
-    if N is None:
-        N = len(family)
+    m, N = family.mass, len(family)
     mu_min = float(np.min(family.mu))
     if N == 1:
         return GersgorinResult(mu_min, "single_disk", (-m, mu_min))
 
     lengths = [c.length for c in family.curves]
     L_min, L_max = min(lengths), max(lengths)
-    off = family.d_matrix[~np.eye(len(family), dtype=bool)]
+    off = family.d_matrix[~np.eye(N, dtype=bool)]
     d_min = float(np.min(off))
-    V = constants.V
 
     def h(E):
         return diagonal_lower_bound(E, mu_min, m, L_min, constants) - (N - 1) * offdiagonal_upper_bound(
-            E, m, d_min, L_max, constants, V
+            E, m, d_min, L_max, constants
         )
 
     lo = -m * (1.0 - 1e-6)
     hi = mu_min - 1e-9 * m
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, _GRID_POINTS)
     values = np.array([h(float(E)) for E in grid])
     if np.all(values < 0):
         return GersgorinResult(-m, "no_exclusion", (lo, hi))

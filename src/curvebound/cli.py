@@ -118,7 +118,7 @@ def _run_scan(cfg: RunConfig, out: Path, threads: int) -> int:
 
 def _run_bounds(cfg: RunConfig, out: Path, threads: int) -> int:
     family = cfg.build_family()
-    g = gersgorin_threshold(family, family.mass)
+    g = gersgorin_threshold(family)
     gs = ground_state_energy(family, cfg.prescription, cfg.manifold, cfg.quadrature)
     e_gr = _safe_float(gs.E_gr)
     ordering = None if e_gr is None else bool(g.E_star <= gs.E_gr)

@@ -144,8 +144,8 @@ _KIND_OF = {cls: kind for table in _KINDS.values() for kind, cls in table.items(
 
 
 def _keys(cls):
-    """The fields a document sets: all but the kind tag and the kernel series."""
-    return [f for f in fields(cls) if f.name not in ("kind", "series")]
+    """The fields a document sets: all but the kind tag."""
+    return [f for f in fields(cls) if f.name != "kind"]
 
 
 def _load(cls, value, path, strict):

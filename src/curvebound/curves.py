@@ -172,7 +172,6 @@ class SampledCurve:
     delta_window: float
     self_distance: float
     homogeneous: bool = False
-    window_resolved: bool = True
     evaluator: object = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -196,7 +195,6 @@ class SampledCurve:
             delta_window=self.delta_window * factor,
             self_distance=self.self_distance * factor,
             homogeneous=self.homogeneous,
-            window_resolved=self.window_resolved,
             evaluator=self.evaluator.rescaled(factor),
         )
 
@@ -324,8 +322,7 @@ def resample_arclength(
             if np.any(d_in > xi * (1.0 + 1e-9)) or np.any(d_in < lo * xi * (1.0 - 1e-9)):
                 raise ValidationError("chord-window inequality violated in delta band")
 
-    resolved = (delta / (L / n)) >= 4.0
-    if not resolved and not exact_kappa:
+    if delta / (L / n) < 4.0 and not exact_kappa:
         warnings.warn(
             f"only {delta / (L / n):.1f} nodes per delta window (< 4); "
             "increase the sample count for trustworthy geometry estimates",
@@ -341,7 +338,6 @@ def resample_arclength(
         delta_window=float(delta),
         self_distance=self_dist,
         homogeneous=homogeneous,
-        window_resolved=resolved,
         evaluator=ev,
     )
 

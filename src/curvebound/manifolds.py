@@ -62,34 +62,6 @@ class Hyperbolic3:
 ManifoldSpec = Union[Euclidean3, FlatTorus3, Hyperbolic3]
 
 
-@dataclass(frozen=True)
-class KernelSeriesConfig:
-    """Truncation control for the torus/circle kernel series.
-
-    poisson_switch_u is in units of L^2.  The default 1/(4 pi) is the
-    self-dual point where image and spectral sums need the same number of
-    terms.  image_sum_radius and spectral_terms are caps: each call of
-    circle_heat_kernel keeps only the terms that can reach double precision
-    on its own u-range, every dropped term below e^-40 (~4e-18) of the
-    largest kept one.  Images: |k| <= K for the smallest K >= 1 with
-    K(K+1) L^2 > 160 u_max (at most 4 below the default switch).  Modes:
-    n <= floor(sqrt(10 L^2 / (pi^2 u_min))) (at most 3 above it).
-    """
-
-    image_sum_radius: int = 6
-    spectral_terms: int = 6
-    poisson_switch_u: float = 1.0 / (4.0 * math.pi)
-
-    def __post_init__(self):
-        if self.image_sum_radius < 1 or self.spectral_terms < 1:
-            raise DomainError("series truncations must be >= 1")
-        if self.poisson_switch_u <= 0:
-            raise DomainError("poisson_switch_u must be positive")
-
-
-DEFAULT_SERIES = KernelSeriesConfig()
-
-
 def volume(manifold: ManifoldSpec) -> float:
     """Total volume; inf for the noncompact backends."""
     if isinstance(manifold, FlatTorus3):
@@ -113,26 +85,10 @@ def _wrap(delta, period):
 
 
 def geodesic_distance(manifold: ManifoldSpec, x, y) -> float:
-    """Geodesic distance between two points.
-
-    Euclidean: |x-y|.  Torus: per-axis minimal image.  Hyperbolic (upper
-    half-space, curvature radius a):
-
-        cosh(d/a) = 1 + q,  q = |x-y|^2 / (2 x3 y3),
-
-    evaluated as d = 2 a asinh(sqrt(q/2)): acosh(1 + q) rounds every
-    q < 1e-16 to zero.
-    """
+    """Geodesic distance between two points, in the metric of pair_displacement."""
     x = _check_point(manifold, x)
     y = _check_point(manifold, y)
-    if isinstance(manifold, Euclidean3):
-        return float(np.linalg.norm(x - y))
-    if isinstance(manifold, FlatTorus3):
-        d = [_wrap(x[i] - y[i], manifold.circumferences[i]) for i in range(3)]
-        return float(math.hypot(*d))
-    a = manifold.curvature_radius
-    q = float(np.sum((x - y) ** 2)) / (2.0 * x[2] * y[2])
-    return 2.0 * a * math.asinh(math.sqrt(0.5 * q))
+    return float(displacement_distance(manifold, pair_displacement(manifold, x, y))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -163,31 +119,37 @@ def _circle_images(u, xi, L, radius):
 # quadrature skips a pair below its boundary-layer floor
 GAUSSIAN_TAIL = 40.0
 
+# the image/mode switch in units of L^2: the self-dual point where both sums
+# need the same number of terms
+POISSON_SWITCH = 1.0 / (4.0 * math.pi)
 
-def _image_radius(u_max, L, cap):
-    """Smallest K >= 1 (at most cap) with K(K+1) L^2 > 4 GAUSSIAN_TAIL u_max.
+
+def _image_radius(u_max, L):
+    """Smallest K >= 1 with K(K+1) L^2 > 4 GAUSSIAN_TAIL u_max.
 
     With |xi| <= L/2, image K+1 is then below e^-GAUSSIAN_TAIL of image 0.
+    At most 4 below the switch.
     """
     k = 1
-    while k < cap and k * (k + 1) * L * L <= 4.0 * GAUSSIAN_TAIL * u_max:
+    while k * (k + 1) * L * L <= 4.0 * GAUSSIAN_TAIL * u_max:
         k += 1
     return k
 
 
-def _mode_count(u_min, L, cap):
-    """Largest n (at most cap) with 4 pi^2 n^2 u_min / L^2 <= GAUSSIAN_TAIL."""
-    return min(cap, int(math.sqrt(GAUSSIAN_TAIL * L * L / (4.0 * math.pi**2 * u_min))))
+def _mode_count(u_min, L):
+    """Largest n with 4 pi^2 n^2 u_min / L^2 <= GAUSSIAN_TAIL; at most 3 at or above the switch."""
+    return int(math.sqrt(GAUSSIAN_TAIL * L * L / (4.0 * math.pi**2 * u_min)))
 
 
-def circle_heat_kernel(u, xi, L, cfg: KernelSeriesConfig = DEFAULT_SERIES):
+def circle_heat_kernel(u, xi, L):
     """Heat kernel on a circle of circumference L at arc separation xi.
 
     Broadcasts over array u and xi.  Switches between the spectral and the
-    Poisson-resummed image representation at u = poisson_switch_u * L^2, and
-    sums only the terms the call's u-range needs (see KernelSeriesConfig).
-    A call that straddles the switch is split, each side truncated at the
-    switch value.
+    Poisson-resummed image representation at u = POISSON_SWITCH * L^2, and
+    sums only the terms that can reach double precision on the call's
+    u-range, every dropped term below e^-GAUSSIAN_TAIL (~4e-18) of the
+    largest kept one.  A call that straddles the switch is split, each side
+    truncated at the switch value.
     """
     if not L > 0:
         raise DomainError("circumference must be positive")
@@ -196,19 +158,18 @@ def circle_heat_kernel(u, xi, L, cfg: KernelSeriesConfig = DEFAULT_SERIES):
     if not np.all(u_arr > 0):
         raise DomainError("diffusion time must be positive")
     scalar = u_arr.ndim == 0 and xi_arr.ndim == 0
-    switch = cfg.poisson_switch_u * L**2
+    switch = POISSON_SWITCH * L**2
     u_min, u_max = (u_arr.min(), u_arr.max()) if u_arr.size else (switch, switch)
     if u_min >= switch:
-        out = _circle_spectral(u_arr, xi_arr, L, _mode_count(u_min, L, cfg.spectral_terms))
+        out = _circle_spectral(u_arr, xi_arr, L, _mode_count(u_min, L))
     elif u_max < switch:
-        out = _circle_images(u_arr, xi_arr, L, _image_radius(u_max, L, cfg.image_sum_radius))
+        out = _circle_images(u_arr, xi_arr, L, _image_radius(u_max, L))
     else:
         u_b, xi_b = np.broadcast_arrays(u_arr, xi_arr)
         out = np.empty(u_b.shape)
         hi = u_b >= switch
-        out[hi] = _circle_spectral(u_b[hi], xi_b[hi], L, _mode_count(switch, L, cfg.spectral_terms))
-        out[~hi] = _circle_images(u_b[~hi], xi_b[~hi], L,
-                                  _image_radius(switch, L, cfg.image_sum_radius))
+        out[hi] = _circle_spectral(u_b[hi], xi_b[hi], L, _mode_count(switch, L))
+        out[~hi] = _circle_images(u_b[~hi], xi_b[~hi], L, _image_radius(switch, L))
     return float(out) if scalar else out
 
 
@@ -220,8 +181,14 @@ def pair_displacement(manifold: ManifoldSpec, X, Y):
     """Reduce point pairs to whatever the kernel needs.
 
     Euclidean/hyperbolic kernels are radial, so the reduction is the geodesic
-    distance; the torus kernel wants the three wrapped coordinate
-    differences.  X, Y are (n, 3) arrays.
+    distance; the torus kernel wants the three wrapped (minimal-image)
+    coordinate differences.  X, Y are (n, 3) arrays.  The hyperbolic distance
+    (upper half-space, curvature radius a) solves
+
+        cosh(d/a) = 1 + q,  q = |x-y|^2 / (2 x3 y3),
+
+    evaluated as d = 2 a asinh(sqrt(q/2)): acosh(1 + q) rounds every
+    q < 1e-16 to zero.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -256,7 +223,7 @@ def _sinh_ratio(rho):
     return out
 
 
-def heat_kernel_grid(manifold: ManifoldSpec, u, disp, cfg: KernelSeriesConfig = DEFAULT_SERIES):
+def heat_kernel_grid(manifold: ManifoldSpec, u, disp):
     """Kernel values on a (u grid) x (displacement batch) product.
 
     u is (nu,), disp comes from pair_displacement; returns (nu, npairs).
@@ -268,9 +235,7 @@ def heat_kernel_grid(manifold: ManifoldSpec, u, disp, cfg: KernelSeriesConfig = 
     if isinstance(manifold, FlatTorus3):
         out = None
         for axis in range(3):
-            k = circle_heat_kernel(
-                u, np.asarray(disp)[None, :, axis], manifold.circumferences[axis], cfg
-            )
+            k = circle_heat_kernel(u, np.asarray(disp)[None, :, axis], manifold.circumferences[axis])
             out = k if out is None else out * k
         return out
     a = manifold.curvature_radius
@@ -280,11 +245,11 @@ def heat_kernel_grid(manifold: ManifoldSpec, u, disp, cfg: KernelSeriesConfig = 
     return ratio * gauss / (_SQRT_4PI * np.sqrt(u)) ** 3
 
 
-def heat_kernel(manifold: ManifoldSpec, u: float, x, y, cfg: KernelSeriesConfig = DEFAULT_SERIES) -> float:
+def heat_kernel(manifold: ManifoldSpec, u: float, x, y) -> float:
     """Scalar heat kernel K_u(x, y) on the given manifold."""
     if not u > 0:
         raise DomainError("diffusion time must be positive")
     x = _check_point(manifold, x)
     y = _check_point(manifold, y)
     disp = pair_displacement(manifold, x[None, :], y[None, :])
-    return float(heat_kernel_grid(manifold, np.array([u]), disp, cfg)[0, 0])
+    return float(heat_kernel_grid(manifold, np.array([u]), disp)[0, 0])

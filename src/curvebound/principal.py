@@ -209,9 +209,8 @@ class _TraceStore:
         """The RGScale counterterm trace of curve i (its xi grid and L do not depend on mu)."""
         if i not in self._counter:
             xi, cols, L = self._grids[i]
-            series = self.cfg.series
             self._counter[i] = _HeatTrace(
-                lambda u, xi: circle_heat_kernel(u[:, None], xi, L, series),
+                lambda u, xi: circle_heat_kernel(u[:, None], xi, L),
                 xi, np.abs(xi), cols, self.cfg, tail=True)
         return self._counter[i]
 

@@ -39,11 +39,9 @@ from functools import lru_cache
 import numpy as np
 
 from .manifolds import (
-    DEFAULT_SERIES,
     GAUSSIAN_TAIL,
     DomainError,
     Euclidean3,
-    KernelSeriesConfig,
     ManifoldSpec,
     displacement_distance,
     heat_kernel_grid,
@@ -85,7 +83,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-11
     panel_ratio: float = 4.0
     sing_window: SingWindowConfig = field(default_factory=SingWindowConfig)
-    series: KernelSeriesConfig = field(default_factory=lambda: DEFAULT_SERIES)
 
     def __post_init__(self):
         if self.t_nodes < 16:
@@ -293,7 +290,7 @@ def _contract(rules, weight):
 
 def _ambient_trace(manifold: ManifoldSpec, disp, coeffs, cfg: QuadratureConfig):
     """_HeatTrace of the manifold's heat kernel over a pair_displacement batch."""
-    return _HeatTrace(lambda u, d: heat_kernel_grid(manifold, u, d, cfg.series), disp,
+    return _HeatTrace(lambda u, d: heat_kernel_grid(manifold, u, d), disp,
                       displacement_distance(manifold, disp), coeffs, cfg)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import SampledCurve
-from .manifolds import DomainError, Euclidean3, ManifoldSpec, circle_heat_kernel
+from .manifolds import DomainError, circle_heat_kernel
 from .principal import DEFAULT_QUADRATURE, QuadratureConfig, rg_assemble
 from .quadrature import _gauss_laguerre, _leggauss
 
@@ -76,17 +76,13 @@ def beta(lambda_R: float, L: float = 2.0 * math.pi,
     # only algebraically.  J(u) = int_{-L/2}^{L/2} K_u(xi) dxi is evaluated on
     # xi = 2 sqrt(u) v with the v-range clipped at 7.5 kernel widths (or the
     # full half-period), so the xi-rule tracks the kernel's width at every u.
-    total = 0.0
-    for t, tw in zip(t_nodes, t_w):
-        inner = 0.0
-        for w, ww in zip(w_nodes, w_w):
-            u = t * t / (4.0 * w)
-            su = math.sqrt(u)
-            v_star = min(L / (4.0 * su), 7.5)
-            xi = 2.0 * su * (v_star * gx)
-            j = 2.0 * su * v_star * float(gw @ circle_heat_kernel(u, xi, L, cfg.series))
-            inner += ww * j
-        total += tw * 2.0 * inner
+    # One kernel call covers every (t, w) node (rows) times its xi-rule.
+    u = (t_nodes * t_nodes)[:, None] / (4.0 * w_nodes)
+    su = np.sqrt(u)
+    v_star = np.minimum(L / (4.0 * su), 7.5)
+    xi = 2.0 * su[..., None] * (v_star[..., None] * gx)
+    j = 2.0 * su * v_star * (circle_heat_kernel(u[..., None], xi, L) @ gw)
+    total = t_w @ (2.0 * (j @ w_w))
     return -lambda_R * lambda_R / (8.0 * math.pi**1.5) * total
 
 
@@ -169,9 +165,8 @@ def flow_profile(lambda_mu: float, tau_min: float, tau_max: float, points: int) 
 
 def rg_invariance_residual(curve: SampledCurve, E: float, m: float, mu: float,
                            lambda_R: float, tau: float,
-                           cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                           manifold: ManifoldSpec = Euclidean3()) -> float:
-    """Relative defect of the scaling identity
+                           cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+    """Relative defect of the scaling identity on Euclidean3
 
         Phi_R(mu, lambda(mu); tau m, tau E, curve/tau)
             = Phi_R(mu, lambda(tau mu); m, E, curve).
@@ -179,13 +174,14 @@ def rg_invariance_residual(curve: SampledCurve, E: float, m: float, mu: float,
     Scaling the metric by tau^{-2} is realized by shrinking the curve by 1/tau;
     the energy and mass scale up by tau; the counterterm scale stays put and
     the coupling on the right runs to tau mu.  Zero for tau = 1 by identical
-    evaluation.
+    evaluation.  Euclidean only: on a compact or curved manifold shrinking the
+    curve alone is not a rescaling of the metric.
     """
     if not 0.25 <= tau <= 4.0:
         # far scalings push tau*E, tau*m to domain edges where quadrature
         # error swamps the identity; keep the check inside [1/4, 4]
         raise DomainError("tau must lie in [1/4, 4]")
     lam_run = flow_coupling(lambda_R, tau)
-    rhs = rg_assemble(curve, E, mu, lam_run, manifold, cfg, m=m)
-    lhs = rg_assemble(curve.rescaled(1.0 / tau), tau * E, mu, lambda_R, manifold, cfg, m=tau * m)
+    rhs = rg_assemble(curve, E, mu, lam_run, cfg=cfg, m=m)
+    lhs = rg_assemble(curve.rescaled(1.0 / tau), tau * E, mu, lambda_R, cfg=cfg, m=tau * m)
     return abs(lhs - rhs) / abs(rhs)

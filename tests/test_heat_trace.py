@@ -294,8 +294,8 @@ def test_polyline_kernel_work_skips_pairs_below_their_floor(kernel_counter):
 
 
 def test_torus_kernel_sums_only_live_series_terms(monkeypatch):
-    # each call truncates its image and mode sums to its own u-range; the
-    # caps of KernelSeriesConfig (13 images, 6 modes) are upper bounds
+    # each call truncates its image and mode sums to its own u-range: well
+    # under the full series of 13 images, and at most 3 modes
     summed = {"images": [0, 0], "modes": [0, 0]}  # [terms, elements]
     for side, name, per in (("images", "_circle_images", lambda r: 2 * r + 1),
                             ("modes", "_circle_spectral", lambda n: n)):

@@ -172,16 +172,23 @@ def test_torus_circumferences_are_a_hashable_tuple_of_floats():
 
 @pytest.mark.parametrize("L", [0.7, 2.0 * math.pi, 5.0])
 def test_circle_kernel_truncation_matches_full_series(L):
-    # the full-length series of KernelSeriesConfig's caps is the reference;
-    # the per-call truncation may only drop terms below rounding
-    from curvebound.manifolds import DEFAULT_SERIES, _circle_images, _circle_spectral
+    # the reference is the full series, 13 images below the switch and 6 modes
+    # at or above it; the per-call truncation may only drop terms below rounding
+    from curvebound.manifolds import POISSON_SWITCH
 
     u = L**2 * np.logspace(-12.0, 2.0, 1401)
     xi = np.concatenate([np.linspace(-L, L, 161), [-0.5 * L, 0.5 * L, np.nextafter(0.5 * L, 0)]])
-    switch = DEFAULT_SERIES.poisson_switch_u * L**2
-    ref = np.where(u[:, None] >= switch,
-                   _circle_spectral(u[:, None], xi, L, DEFAULT_SERIES.spectral_terms),
-                   _circle_images(u[:, None], xi, L, DEFAULT_SERIES.image_sum_radius))
+    switch = POISSON_SWITCH * L**2
+    uc = u[:, None]
+    modes = np.ones((len(u), len(xi)))
+    for n in range(1, 7):
+        modes = modes + 2.0 * np.exp(-4.0 * math.pi**2 * n**2 * uc / L**2) * np.cos(
+            2.0 * math.pi * n * xi / L)
+    wrapped = (xi + 0.5 * L) % L - 0.5 * L
+    images = np.zeros((len(u), len(xi)))
+    for k in range(-6, 7):
+        images = images + np.exp(-((wrapped + k * L) ** 2) / (4.0 * uc))
+    ref = np.where(uc >= switch, modes / L, images / np.sqrt(4.0 * math.pi * uc))
     scale = np.where(ref > 0, ref, 1.0)
 
     def check(got, want, where):
@@ -196,3 +203,18 @@ def test_circle_kernel_truncation_matches_full_series(L):
             got = circle_heat_kernel(float(u[a]), float(xi[b]), L)
             assert isinstance(got, float)
             check(got, ref[a, b], scale[a, b])
+
+
+@pytest.mark.parametrize("L", [0.7, 1.0, 2.0 * math.pi, 5.0, 100.0])
+def test_circle_series_lengths_stay_short(L):
+    # why the kernel needs no truncation caps: over u in [1e-12, 1e2] L^2 no
+    # call sums more than 4 images below the switch or 3 modes at or above it
+    from curvebound.manifolds import POISSON_SWITCH, _image_radius, _mode_count
+
+    u = L**2 * np.logspace(-12.0, 2.0, 1401)
+    switch = POISSON_SWITCH * L**2
+    below, above = u[u < switch], u[u >= switch]
+    assert len(below) and len(above)
+    assert max(_image_radius(float(v), L) for v in below) <= 4
+    assert max(_mode_count(float(v), L) for v in above) <= 3
+    assert _image_radius(switch, L) <= 4 and _mode_count(switch, L) <= 3

@@ -13,7 +13,9 @@ from curvebound import (
     ode_flow_values,
     rg_invariance_residual,
 )
-from curvebound.quadrature import _gauss_laguerre
+import curvebound.rgflow
+from curvebound.manifolds import circle_heat_kernel
+from curvebound.quadrature import _gauss_laguerre, _leggauss
 
 FOUR_PI = 4.0 * math.pi
 
@@ -45,6 +47,44 @@ def test_beta_at_many_t_nodes():
     # a 400-point Laguerre rule built from the polynomials themselves has NaN nodes
     got = beta(1.0, cfg=QuadratureConfig(t_nodes=400))
     assert got == pytest.approx(-1.0 / FOUR_PI, rel=1e-12)
+
+
+def _beta_by_node_loop(lambda_R, L, cfg):
+    # the same quadrature with one circle_heat_kernel call per (t, w) node
+    t_nodes, t_w = _gauss_laguerre(cfg.t_nodes, 0.0)
+    w_nodes, w_w = _gauss_laguerre(cfg.u_nodes, -0.5)
+    gx, gw = _leggauss(2 * cfg.u_nodes)
+    total = 0.0
+    for t, tw in zip(t_nodes, t_w):
+        inner = 0.0
+        for w, ww in zip(w_nodes, w_w):
+            u = t * t / (4.0 * w)
+            su = math.sqrt(u)
+            v_star = min(L / (4.0 * su), 7.5)
+            xi = 2.0 * su * (v_star * gx)
+            inner += ww * 2.0 * su * v_star * float(gw @ circle_heat_kernel(u, xi, L))
+        total += tw * 2.0 * inner
+    return -lambda_R * lambda_R / (8.0 * math.pi**1.5) * total
+
+
+@pytest.mark.parametrize("L, t_nodes", [(1.0, 32), (2.0 * math.pi, 32), (100.0, 32),
+                                        (2.0 * math.pi, 400)])
+def test_beta_matches_per_node_loop(L, t_nodes):
+    cfg = QuadratureConfig(t_nodes=t_nodes)
+    ref = _beta_by_node_loop(1.3, L, cfg)
+    assert abs(beta(1.3, L, cfg) - ref) <= 1e-15 * abs(ref)
+
+
+def test_beta_is_one_kernel_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return circle_heat_kernel(*args)
+
+    monkeypatch.setattr(curvebound.rgflow, "circle_heat_kernel", counted)
+    beta(1.0)
+    assert 0 < len(calls) <= 2  # not one call per (t, w) node: 32 x 24 = 768 of them
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.5])
