@@ -158,8 +158,10 @@ def gersgorin_threshold(family: CurveFamily, constants: BoundConstants = BoundCo
             E, m, d_min, L_max, constants
         )
 
-    lo = -m * (1.0 - 1e-6)
-    hi = mu_min - 1e-9 * m
+    # the grid stays inside (-m, mu_min) also when mu_min lies within 1e-6 m of -m
+    quarter = 0.25 * (mu_min + m)
+    lo = min(-m * (1.0 - 1e-6), -m + quarter)
+    hi = max(mu_min - 1e-9 * m, mu_min - quarter)
     grid = np.linspace(lo, hi, _GRID_POINTS)
     values = np.array([h(float(E)) for E in grid])
     if np.all(values < 0):

@@ -98,20 +98,24 @@ def geodesic_distance(manifold: ManifoldSpec, x, y) -> float:
 def _circle_spectral(u, xi, L, terms):
     """Mode sum, accurate for u >~ L^2/(4 pi).  u column, xi row."""
     acc = np.ones(np.broadcast_shapes(u.shape, xi.shape))
+    term = np.empty(acc.shape)
     for n in range(1, terms + 1):
-        acc = acc + 2.0 * np.exp(-4.0 * math.pi**2 * n**2 * u / L**2) * np.cos(
-            2.0 * math.pi * n * xi / L
-        )
-    return acc / L
+        acc += np.multiply(2.0 * np.exp(-4.0 * math.pi**2 * n**2 * u / L**2),
+                           np.cos(2.0 * math.pi * n * xi / L), out=term)
+    acc /= L
+    return acc
 
 
 def _circle_images(u, xi, L, radius):
     """Gaussian image sum, accurate for u <~ L^2/(4 pi)."""
     xi = _wrap(xi, L)
     acc = np.zeros(np.broadcast_shapes(u.shape, xi.shape))
+    term = np.empty(acc.shape)
     for k in range(-radius, radius + 1):
-        acc = acc + np.exp(-((xi + k * L) ** 2) / (4.0 * u))
-    return acc / np.sqrt(4.0 * math.pi * u)
+        np.divide(-((xi + k * L) ** 2), 4.0 * u, out=term)
+        acc += np.exp(term, out=term)
+    acc /= np.sqrt(4.0 * math.pi * u)
+    return acc
 
 
 # a Gaussian factor below e^-GAUSSIAN_TAIL (~4e-18) is negligible: circle
@@ -229,20 +233,24 @@ def heat_kernel_grid(manifold: ManifoldSpec, u, disp):
     u is (nu,), disp comes from pair_displacement; returns (nu, npairs).
     """
     u = np.asarray(u, dtype=float)[:, None]
-    if isinstance(manifold, Euclidean3):
-        d2 = np.asarray(disp, dtype=float)[None, :] ** 2
-        return np.exp(-d2 / (4.0 * u)) / (_SQRT_4PI * np.sqrt(u)) ** 3
     if isinstance(manifold, FlatTorus3):
-        out = None
-        for axis in range(3):
-            k = circle_heat_kernel(u, np.asarray(disp)[None, :, axis], manifold.circumferences[axis])
-            out = k if out is None else out * k
+        disp = np.asarray(disp)
+        out = circle_heat_kernel(u, disp[None, :, 0], manifold.circumferences[0])
+        for axis in (1, 2):
+            out *= circle_heat_kernel(u, disp[None, :, axis], manifold.circumferences[axis])
         return out
-    a = manifold.curvature_radius
+    # one block, finished in place: a kernel block of a heat trace is ~1 MB
     d = np.asarray(disp, dtype=float)[None, :]
-    ratio = _sinh_ratio(np.asarray(disp, dtype=float) / a)[None, :]
-    gauss = np.exp(-(d**2) / (4.0 * u) - u / a**2)
-    return ratio * gauss / (_SQRT_4PI * np.sqrt(u)) ** 3
+    out = np.divide(-(d**2), 4.0 * u)
+    if isinstance(manifold, Hyperbolic3):
+        a = manifold.curvature_radius
+        out -= u / a**2
+        np.exp(out, out=out)
+        out *= _sinh_ratio(d / a)
+    else:
+        np.exp(out, out=out)
+    out /= (_SQRT_4PI * np.sqrt(u)) ** 3
+    return out
 
 
 def heat_kernel(manifold: ManifoldSpec, u: float, x, y) -> float:

@@ -236,8 +236,9 @@ class _HeatTrace:
     that the ladder for e_max has beyond those already held, and returns
     exactly that ladder (with its own tail panel), so a result never depends
     on which larger ladders were asked for before.  A trace serves one mass
-    m.  kernel(u, disp) returns the (len(u), len(disp)) kernel block; a
-    trace that is never contracted costs nothing.
+    m.  kernel(u, disp) returns the (len(u), len(disp)) kernel block, and
+    each new panel is one such call over the nodes of both rules; a trace
+    that is never contracted costs nothing.
     """
 
     def __init__(self, kernel, disp, dist, coeffs, cfg: QuadratureConfig, tail=False):
@@ -248,11 +249,17 @@ class _HeatTrace:
         self._coeffs = np.atleast_2d(coeffs).T[order]
         self._cfg, self._tail = cfg, tail
         self._orders = (cfg.u_nodes, max(8, cfg.u_nodes // 2))
-        self._panels = ([], [])  # (u nodes, rule weights, T) of each held panel, per rule
+        self._panels = []  # ((u, w, T) full, (u, w, T) half) of each held panel
         self._rules = {}  # panel count -> the rules() of that ladder
 
-    def _trace(self, u, k):
-        return self._kernel(u, self._disp[:k]) @ self._coeffs[:k]
+    def _panel(self, nodes, k):
+        """((u, w, T) full, (u, w, T) half) of one panel from a single kernel
+        call over both rules' nodes, nodes = [(u, w) full, (u, w) half], and
+        the k closest pairs."""
+        (u_full, w_full), (u_half, w_half) = nodes
+        trace = self._kernel(np.concatenate([u_full, u_half]), self._disp[:k]) @ self._coeffs[:k]
+        n = len(u_full)
+        return (u_full, w_full, trace[:n]), (u_half, w_half, trace[n:])
 
     def rules(self, m, e_max):
         """(u nodes, rule weights, T) for the full and the half-order rule on
@@ -260,22 +267,18 @@ class _HeatTrace:
         breaks = u_panel_breaks(self._d_min, m, e_max, self._cfg)
         n = len(breaks) - 1
         if n not in self._rules:
-            held = len(self._panels[0])
+            held = len(self._panels)
             active = np.searchsorted(self._d2, BOUNDARY_LAYER * breaks[held + 1:]).tolist()
             for a, b, k in zip(breaks[held:-1], breaks[held + 1:], active):
-                for panels, nodes in zip(self._panels, self._orders):
-                    u, w = _panel_nodes(a, b, nodes)
-                    panels.append((u, w, self._trace(u, k)))
-            rules = []
-            for panels, nodes in zip(self._panels, self._orders):
-                ladder = panels[:n]
-                if self._tail:
-                    s, w = _panel_nodes(0.0, 1.0, nodes)
-                    u = breaks[-1] / s**2
-                    ladder = ladder + [(u, w * 2.0 * breaks[-1] / s**3,
-                                        self._trace(u, len(self._d2)))]
-                rules.append(tuple(np.concatenate(x) for x in zip(*ladder)))
-            self._rules[n] = rules
+                self._panels.append(self._panel([_panel_nodes(a, b, q) for q in self._orders], k))
+            ladder = self._panels[:n]
+            if self._tail:
+                u_top = breaks[-1]
+                tail = [(u_top / s**2, w * 2.0 * u_top / s**3)
+                        for s, w in (_panel_nodes(0.0, 1.0, q) for q in self._orders)]
+                ladder = ladder + [self._panel(tail, len(self._d2))]
+            self._rules[n] = [tuple(np.concatenate(x) for x in zip(*panels))
+                              for panels in zip(*ladder)]
         return self._rules[n]
 
     def integrate(self, weight, m, e_max):
@@ -284,8 +287,14 @@ class _HeatTrace:
 
 
 def _contract(rules, weight):
-    """[full, half] rule values of int du weight(u) T(u) from _HeatTrace.rules."""
-    return np.array([(w * weight(u)) @ trace for u, w, trace in rules])
+    """[full, half] rule values of int du weight(u) T(u) from _HeatTrace.rules.
+
+    weight is evaluated once, on the nodes of both rules.
+    """
+    (u_full, w_full, t_full), (u_half, w_half, t_half) = rules
+    wu = weight(np.concatenate([u_full, u_half]))
+    n = len(u_full)
+    return np.array([(w_full * wu[:n]) @ t_full, (w_half * wu[n:]) @ t_half])
 
 
 def _ambient_trace(manifold: ManifoldSpec, disp, coeffs, cfg: QuadratureConfig):

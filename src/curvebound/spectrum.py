@@ -107,7 +107,9 @@ def ground_state_energy(
     """Zero of the lowest eigenvalue over (-0.999 m, min_i mu_i] by default.
 
     Under RGScale the default top is the largest double below the counterterm
-    scale mu (the flow prescription needs E < mu), capped at 0.999 m.
+    scale mu (the flow prescription needs E < mu), capped at 0.999 m.  A
+    default top at or below -0.999 m moves the floor to the midpoint of -m
+    and the top.
 
     No sign change on the bracket is an outcome, not an error: the returned
     status says so and E_gr is NaN.
@@ -116,7 +118,7 @@ def ground_state_energy(
     if bracket is None:
         hi = (float(np.min(family.mu)) if isinstance(p, MinimalBoundState)
               else min(math.nextafter(p.mu, -math.inf), 0.999 * m))
-        bracket = (-0.999 * m, hi)
+        bracket = (-0.999 * m if hi > -0.999 * m else 0.5 * (hi - m), hi)
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (-m < lo < hi) or not hi < m:
         raise DomainError("bracket must satisfy -m < lo < hi < m")

@@ -20,6 +20,8 @@ from curvebound import (
 )
 from curvebound.bounds import _phi_term
 
+from conftest import circle_family
+
 EUCLID = Euclidean3()
 
 
@@ -120,6 +122,15 @@ def test_gersgorin_monotone_with_separation(pair_family_d10, pair_family_d100):
     near = gersgorin_threshold(pair_family_d10)
     far = gersgorin_threshold(pair_family_d100)
     assert far.E_star > near.E_star  # closer to mu_min
+
+
+def test_gersgorin_grid_stays_below_mu_min():
+    # mu_min within 1e-6 m of -m: the whole grid still lies inside (-m, mu_min)
+    mu = -0.9999995
+    g = gersgorin_threshold(circle_family([1.0], mus=[mu, mu]))
+    lo, hi = g.bracket
+    assert -1.0 < lo < hi < mu
+    assert g.status == "no_exclusion" and g.E_star == -1.0
 
 
 @pytest.mark.parametrize("fixture", ["pair_family_d10", "pair_family_d100"])

@@ -219,6 +219,39 @@ def test_validate_phi_checks_each_report_a_convergence_error():
         assert report[name]["detail"].startswith("raised ConvergenceError")
 
 
+def test_validate_beta_detail_ignores_last_bit_changes(monkeypatch):
+    from curvebound import validate
+
+    cfg = parse_config(json.dumps(dict(MINIMAL, task={"kind": "validate"})))
+    ref = -1.0 / (4.0 * math.pi)
+    details = []
+    for got in (math.nextafter(ref, 0.0), math.nextafter(math.nextafter(ref, 0.0), 0.0),
+                ref * (1.0 + 1e-9)):
+        monkeypatch.setattr(validate, "beta", lambda lam, cfg=None, got=got: got)
+        status, detail = validate._check_beta(cfg)
+        assert status == "pass"
+        details.append(detail)
+    assert details[0] == details[1]
+    assert details[0].endswith("relative gap below 1e-12")
+    assert details[2].endswith("relative gap 1.000e-09")
+
+
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+@pytest.mark.parametrize("mu", [-0.9995, -0.9999995])
+def test_cli_min_mu_near_threshold_without_bracket(tmp_path, command, mu):
+    # the default root bracket and the Gersgorin grid both lie inside (-m, min mu)
+    doc = json.loads(json.dumps(PAIR))
+    doc["curves"][1]["shape"]["center"] = [3, 0, 0]
+    for c in doc["curves"]:
+        c["mu"] = mu
+    doc["task"] = {"kind": command}
+    out = tmp_path / "o"
+    assert main([command, "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+    payload = json.loads((out / f"{command}.json").read_text())
+    assert payload["solver_status" if command == "bounds" else "status"] == \
+        "no_bound_state_in_bracket"
+
+
 def test_cli_solve_seventeen_digit_roundtrip(tmp_path):
     cfg = write(tmp_path, PAIR)
     out = tmp_path / "o"

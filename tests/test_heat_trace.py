@@ -115,12 +115,13 @@ def test_feynman_hellman_matches_per_energy_matrices():
 
 @pytest.fixture
 def kernel_counter(monkeypatch):
-    """Count heat_kernel_grid values wherever the package refers to it."""
-    count = [0]
+    """Count heat_kernel_grid values, and in [1] its calls, wherever the package refers to it."""
+    count = [0, 0]
     original = curvebound.manifolds.heat_kernel_grid
 
     def counted(manifold, u, disp, *args, **kwargs):
         count[0] += int(np.size(u)) * int(np.shape(disp)[0])
+        count[1] += 1
         return original(manifold, u, disp, *args, **kwargs)
 
     for name in ("quadrature", "principal", "spectrum"):
@@ -402,3 +403,44 @@ def test_traces_die_with_their_family():
         assert len(principal._STORES) == stores
     finally:
         gc.enable()
+
+
+def test_each_new_panel_is_one_kernel_call(kernel_counter, monkeypatch):
+    # a panel's full and half-order rule, and the counterterm's algebraic tail
+    # panel, come from one kernel call over the nodes of both rules
+    circle_calls = [0]
+    original = principal.circle_heat_kernel
+
+    def counted(*args):
+        circle_calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(principal, "circle_heat_kernel", counted)
+    store = _trace_store(circle_family([1.0]), EUCLID, DEFAULT_QUADRATURE)
+    nodes = DEFAULT_QUADRATURE.u_nodes
+    for trace, calls, tail in ((store.traces[0, 1], lambda: kernel_counter[1], 0),
+                               (store.counterterm(0), lambda: circle_calls[0], 1)):
+        held = made = 0  # panels held, kernel calls made
+        for e_max in (0.3, 0.9):  # a fresh ladder, then the panels a longer one adds
+            (u_full, _, _), (u_half, _, _) = trace.rules(1.0, e_max)
+            assert len(u_half) == len(u_full) // 2
+            panels = len(u_full) // nodes - tail
+            assert calls() - made == panels - held + tail
+            held, made = panels, calls()
+
+
+def test_contraction_evaluates_the_weight_once(monkeypatch):
+    # one call of each weight per trace on the nodes of both rules: a one-circle
+    # diagonal is w_mu - w_E, so two weight_plain calls on built traces
+    family = circle_family([], mus=[-0.2])
+    assemble(family, -0.5)
+    calls = [0]
+    original = curvebound.quadrature.weight_plain
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(curvebound.quadrature, "weight_plain", counted)
+    assemble(family, -0.4)
+    assert calls[0] == 2

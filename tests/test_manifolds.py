@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from curvebound import (
     heat_kernel,
     volume,
 )
-from curvebound.manifolds import heat_kernel_grid, pair_displacement
+from curvebound.manifolds import _sinh_ratio, heat_kernel_grid, pair_displacement
 
 
 def test_euclid_coincidence_value():
@@ -116,6 +117,36 @@ def test_torus_kernel_is_product_of_circles():
     for k, L in enumerate(t.circumferences):
         ref *= circle_heat_kernel(u, x[k] - y[k], L)
     assert got == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("manifold", [Euclidean3(), Hyperbolic3(1.2)], ids=["euclid", "hyperbolic"])
+def test_heat_kernel_grid_allocates_one_block(manifold):
+    # the block of a heat-trace panel (24 + 12 u-nodes by a polyline's pairs)
+    # is finished in place, with no block-sized temporaries
+    u = np.geomspace(1e-3, 10.0, 36)
+    disp = np.linspace(0.0, 3.0, 4352)
+    block = u.size * disp.size * 8
+    heat_kernel_grid(manifold, u, disp)
+    tracemalloc.start()
+    try:
+        heat_kernel_grid(manifold, u, disp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * block
+
+
+def test_heat_kernel_grid_in_place_matches_its_formula():
+    # the in-place block keeps the operation order of the one-line formulas
+    u = np.geomspace(1e-4, 30.0, 36)[:, None]
+    d = np.linspace(0.0, 4.0, 50)
+    a = 1.3
+    pref = (math.sqrt(4.0 * math.pi) * np.sqrt(u)) ** 3
+    euclid = np.exp(-(d[None, :] ** 2) / (4.0 * u)) / pref
+    gauss = np.exp(-(d[None, :] ** 2) / (4.0 * u) - u / a**2)
+    hyperbolic = _sinh_ratio(d / a)[None, :] * gauss / pref
+    np.testing.assert_array_equal(heat_kernel_grid(Euclidean3(), u[:, 0], d), euclid)
+    np.testing.assert_array_equal(heat_kernel_grid(Hyperbolic3(a), u[:, 0], d), hyperbolic)
 
 
 def test_heat_kernel_grid_matches_scalar():

@@ -148,3 +148,12 @@ def test_rg_scale_default_bracket_stays_below_mu():
     assert gs.bracket[1] == math.nextafter(0.5, -math.inf)
     assert gs.status == "converged"
     assert gs.E_gr == pytest.approx(0.3984219414436173, abs=1e-8)
+
+
+@pytest.mark.parametrize("mu", [-0.999, -0.9995, -0.9999995])
+def test_default_bracket_floor_lies_below_min_mu(mu):
+    # min mu at or below the usual floor -0.999 m: the floor moves between -m and min mu
+    gs = ground_state_energy(circle_family([1.0], mus=[mu, mu]))
+    lo, hi = gs.bracket
+    assert -1.0 < lo < hi == mu
+    assert gs.status == "no_bound_state_in_bracket"
