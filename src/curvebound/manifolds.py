@@ -23,9 +23,6 @@ from typing import Union
 
 import numpy as np
 
-_SQRT_4PI = math.sqrt(4.0 * math.pi)
-
-
 class DomainError(ValueError):
     """Input outside the operation's stated domain."""
 
@@ -123,21 +120,30 @@ def _circle_images(u, xi, L, radius):
 # quadrature skips a pair below its boundary-layer floor
 GAUSSIAN_TAIL = 40.0
 
+# np.exp returns exactly +0.0 below about -745.13; the margin covers the
+# rounding of the exponent and of the wrapped separation
+EXP_UNDERFLOW = 750.0
+
 # the image/mode switch in units of L^2: the self-dual point where both sums
 # need the same number of terms
 POISSON_SWITCH = 1.0 / (4.0 * math.pi)
 
 
-def _image_radius(u_max, L):
-    """Smallest K >= 1 with K(K+1) L^2 > 4 GAUSSIAN_TAIL u_max.
+def _image_radius(u_max, L, xi_max=None):
+    """Image radius K of a call with diffusion times <= u_max and |xi| <= xi_max.
 
-    With |xi| <= L/2, image K+1 is then below e^-GAUSSIAN_TAIL of image 0.
-    At most 4 below the switch.
+    The smallest K >= 1 with K(K+1) L^2 > 4 GAUSSIAN_TAIL u_max, so that with
+    |xi| <= L/2 image K+1 is below e^-GAUSSIAN_TAIL of image 0; at most 4
+    below the switch.  Capped at (sqrt(4 EXP_UNDERFLOW u_max) + xi_max)/L,
+    xi_max defaulting to L/2: the exponent of image k is at most
+    -(|k| L - xi_max)^2/(4 u_max), so every image beyond the cap is exactly
+    +0.0 and the radius may be 0.
     """
+    xi_max = 0.5 * L if xi_max is None else xi_max
     k = 1
     while k * (k + 1) * L * L <= 4.0 * GAUSSIAN_TAIL * u_max:
         k += 1
-    return k
+    return min(k, int((math.sqrt(4.0 * EXP_UNDERFLOW * u_max) + xi_max) / L))
 
 
 def _mode_count(u_min, L):
@@ -152,7 +158,8 @@ def circle_heat_kernel(u, xi, L):
     Poisson-resummed image representation at u = POISSON_SWITCH * L^2, and
     sums only the terms that can reach double precision on the call's
     u-range, every dropped term below e^-GAUSSIAN_TAIL (~4e-18) of the
-    largest kept one.  A call that straddles the switch is split, each side
+    largest kept one, and no image that is +0.0 at every |xi| up to the
+    call's largest.  A call that straddles the switch is split, each side
     truncated at the switch value.
     """
     if not L > 0:
@@ -164,16 +171,18 @@ def circle_heat_kernel(u, xi, L):
     scalar = u_arr.ndim == 0 and xi_arr.ndim == 0
     switch = POISSON_SWITCH * L**2
     u_min, u_max = (u_arr.min(), u_arr.max()) if u_arr.size else (switch, switch)
+    # the wrapped separation is at most L/2 and, up to rounding, |xi|
+    xi_max = min(0.5 * L, float(np.abs(xi_arr).max(initial=0.0)))
     if u_min >= switch:
         out = _circle_spectral(u_arr, xi_arr, L, _mode_count(u_min, L))
     elif u_max < switch:
-        out = _circle_images(u_arr, xi_arr, L, _image_radius(u_max, L))
+        out = _circle_images(u_arr, xi_arr, L, _image_radius(u_max, L, xi_max))
     else:
         u_b, xi_b = np.broadcast_arrays(u_arr, xi_arr)
         out = np.empty(u_b.shape)
         hi = u_b >= switch
         out[hi] = _circle_spectral(u_b[hi], xi_b[hi], L, _mode_count(switch, L))
-        out[~hi] = _circle_images(u_b[~hi], xi_b[~hi], L, _image_radius(switch, L))
+        out[~hi] = _circle_images(u_b[~hi], xi_b[~hi], L, _image_radius(switch, L, xi_max))
     return float(out) if scalar else out
 
 
@@ -232,24 +241,29 @@ def heat_kernel_grid(manifold: ManifoldSpec, u, disp):
 
     u is (nu,), disp comes from pair_displacement; returns (nu, npairs).
     """
-    u = np.asarray(u, dtype=float)[:, None]
+    u = np.asarray(u, dtype=float)
     if isinstance(manifold, FlatTorus3):
         disp = np.asarray(disp)
+        u = u[:, None]
         out = circle_heat_kernel(u, disp[None, :, 0], manifold.circumferences[0])
         for axis in (1, 2):
             out *= circle_heat_kernel(u, disp[None, :, axis], manifold.circumferences[axis])
         return out
-    # one block, finished in place: a kernel block of a heat trace is ~1 MB
-    d = np.asarray(disp, dtype=float)[None, :]
-    out = np.divide(-(d**2), 4.0 * u)
-    if isinstance(manifold, Hyperbolic3):
+    # one block: the exponent a(u) d^2 + b(u) (+ log(rho/sinh rho)) is one
+    # (nu x r) @ (r x npairs) product, exponentiated in place
+    d = np.asarray(disp, dtype=float)
+    hyperbolic = isinstance(manifold, Hyperbolic3)
+    col = np.ones((u.shape[0], 3 if hyperbolic else 2))
+    col[:, 0] = -0.25 / u
+    col[:, 1] = -1.5 * np.log(4.0 * math.pi * u)
+    row = np.ones((col.shape[1], d.shape[0]))
+    row[0] = d * d
+    if hyperbolic:
         a = manifold.curvature_radius
-        out -= u / a**2
-        np.exp(out, out=out)
-        out *= _sinh_ratio(d / a)
-    else:
-        np.exp(out, out=out)
-    out /= (_SQRT_4PI * np.sqrt(u)) ** 3
+        col[:, 1] -= u / a**2
+        row[2] = np.log(_sinh_ratio(d / a))
+    out = col @ row
+    np.exp(out, out=out)
     return out
 
 

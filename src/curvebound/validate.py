@@ -40,6 +40,15 @@ def _mu_ref(family: CurveFamily, prescription) -> float:
     return min(mu, prescription.mu) if isinstance(prescription, RGScale) else mu
 
 
+def _gap(rel):
+    """A relative gap for a detail line.
+
+    A gap of a few ulps is rounding: print it as such, so that a last-bit
+    change leaves the report unchanged.
+    """
+    return "below 1e-12" if rel < 1e-12 else f"{rel:.3e}"
+
+
 def _check_yukawa(cfg: RunConfig):
     if not isinstance(cfg.manifold, Euclidean3):
         return "skip", "flat-space anchor; manifold is not Euclidean3"
@@ -51,7 +60,7 @@ def _check_yukawa(cfg: RunConfig):
         ref = math.exp(-m * d) / (8.0 * math.pi * d)
         worst = max(worst, abs(got - ref) / ref)
     status = "pass" if worst < 1e-8 else "fail"
-    return status, f"max relative deviation from exp(-m d)/(8 pi d): {worst:.3e}"
+    return status, f"max relative deviation from exp(-m d)/(8 pi d): {_gap(worst)}"
 
 
 def _check_oracle(cfg: RunConfig):
@@ -66,7 +75,7 @@ def _check_oracle(cfg: RunConfig):
             ref = flat_resolvent_oracle(e_frac * m, d, m)
             worst = max(worst, abs(got - ref) / ref)
     status = "pass" if worst < 1e-8 else "fail"
-    return status, f"max relative gap to the direct resolvent integral: {worst:.3e}"
+    return status, f"max relative gap to the direct resolvent integral: {_gap(worst)}"
 
 
 def _check_monotone_kernel(cfg: RunConfig):
@@ -147,11 +156,8 @@ def _check_beta(cfg: RunConfig):
     got = beta(lam, cfg=cfg.quadrature)
     ref = -lam * lam / (4.0 * math.pi)
     rel = abs(got - ref) / abs(ref)
-    # a gap of a few ulps is rounding: print it as such, so a last-bit change
-    # in beta leaves the report unchanged
-    gap = "below 1e-12" if rel < 1e-12 else f"{rel:.3e}"
     return ("pass" if rel < 1e-6 else "fail",
-            f"quadrature beta vs -lambda^2/(4 pi): relative gap {gap}")
+            f"quadrature beta vs -lambda^2/(4 pi): relative gap {_gap(rel)}")
 
 
 def _check_rg_invariance(cfg: RunConfig, family):

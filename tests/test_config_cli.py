@@ -236,6 +236,35 @@ def test_validate_beta_detail_ignores_last_bit_changes(monkeypatch):
     assert details[2].endswith("relative gap 1.000e-09")
 
 
+@pytest.mark.parametrize("check", ["yukawa", "oracle"])
+def test_validate_anchor_details_ignore_last_bit_changes(monkeypatch, check):
+    from types import SimpleNamespace
+
+    from curvebound import validate
+
+    cfg = parse_config(json.dumps(dict(MINIMAL, task={"kind": "validate"})))
+    details = []
+    for shift in (1, 2, None):  # ulps below the reference, or a 1e-9 gap
+
+        def kernel(E, x, y, m, manifold, quadrature, shift=shift):
+            d = float(np.linalg.norm(y - x))
+            ref = (math.exp(-m * d) / (8.0 * math.pi * d) if check == "yukawa"
+                   else validate.flat_resolvent_oracle(E, d, m))
+            if shift is None:
+                return SimpleNamespace(value=ref * (1.0 - 1e-9))
+            for _ in range(shift):
+                ref = math.nextafter(ref, 0.0)
+            return SimpleNamespace(value=ref)
+
+        monkeypatch.setattr(validate, "pair_kernel_plain", kernel)
+        status, detail = getattr(validate, f"_check_{check}")(cfg)
+        assert status == "pass"
+        details.append(detail)
+    assert details[0] == details[1]
+    assert details[0].endswith(": below 1e-12")
+    assert details[2].endswith(": 1.000e-09")
+
+
 @pytest.mark.parametrize("command", ["solve", "bounds"])
 @pytest.mark.parametrize("mu", [-0.9995, -0.9999995])
 def test_cli_min_mu_near_threshold_without_bracket(tmp_path, command, mu):

@@ -187,6 +187,19 @@ def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path, command):
     assert out.stdout.strip() == "False"
 
 
+def test_cli_validate_leaves_scipy_integrate_unloaded(tmp_path):
+    """The resolvent oracle of validate is Gauss-Legendre panels in NumPy."""
+    cfg = Path(__file__).parents[1] / "perfbench" / "configs" / "validate.json"
+    argv = ["validate", "--config", str(cfg), "--out", str(tmp_path)]
+    code = ("import sys, curvebound.cli\n"
+            f"assert curvebound.cli.main({argv!r}) == 0\n"
+            "print('scipy.special' in sys.modules, 'scipy.integrate' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(curvebound.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "True False"
+
+
 def test_family_geometry_cannot_move_in_place():
     # the traces of a family are built once, so an in-place edit of a curve
     # would leave later calls on stale traces
@@ -316,6 +329,28 @@ def test_torus_kernel_sums_only_live_series_terms(monkeypatch):
     assert image_elements > 0 and mode_elements > 0
     assert images <= 0.3 * 13 * image_elements
     assert modes <= 3 * mode_elements
+
+
+def test_torus_traces_sum_no_image_that_underflows_everywhere(monkeypatch):
+    # an image term whose every element is +0.0 adds nothing but a slow exp
+    summed, dead = [0], []
+    original = curvebound.manifolds._circle_images
+
+    def checked(u, xi, L, radius):
+        wrapped = curvebound.manifolds._wrap(np.asarray(xi, dtype=float), L)
+        for k in range(-radius, radius + 1):
+            summed[0] += 1
+            if not np.any(np.exp(-((wrapped + k * L) ** 2) / (4.0 * np.asarray(u)))):
+                dead.append((k, L, float(np.max(u))))
+        return original(u, xi, L, radius)
+
+    monkeypatch.setattr(curvebound.manifolds, "_circle_images", checked)
+    loop = _trace_store(_torus_loop_family(), TORUS, DEFAULT_QUADRATURE)
+    assert loop.traces[0, 0].rules(1.0, 0.6)
+    circle = circle_family([1.0], mus=[0.0, 0.0])
+    spectral_flow(circle, [-0.6, -0.3], manifold=TORUS)
+    assert summed[0] > 0
+    assert dead == []
 
 
 def test_assemble_then_derivative_evaluates_each_kernel_node_once(kernel_counter):

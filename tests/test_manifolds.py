@@ -137,14 +137,16 @@ def test_heat_kernel_grid_allocates_one_block(manifold):
 
 
 def test_heat_kernel_grid_in_place_matches_its_formula():
-    # the in-place block keeps the operation order of the one-line formulas
+    # the block is exp of one bilinear form: a(u) d^2 + b(u) with
+    # a = -1/(4u), b = -(3/2) log(4 pi u), plus -u/a^2 and log(rho/sinh rho)
+    # on Hyperbolic3
     u = np.geomspace(1e-4, 30.0, 36)[:, None]
     d = np.linspace(0.0, 4.0, 50)
     a = 1.3
-    pref = (math.sqrt(4.0 * math.pi) * np.sqrt(u)) ** 3
-    euclid = np.exp(-(d[None, :] ** 2) / (4.0 * u)) / pref
-    gauss = np.exp(-(d[None, :] ** 2) / (4.0 * u) - u / a**2)
-    hyperbolic = _sinh_ratio(d / a)[None, :] * gauss / pref
+    a_u, b_u, ones = -0.25 / u, -1.5 * np.log(4.0 * math.pi * u), np.ones_like(d)
+    euclid = np.exp(np.hstack([a_u, b_u]) @ np.vstack([d**2, ones]))
+    hyperbolic = np.exp(np.hstack([a_u, b_u - u / a**2, np.ones_like(u)])
+                        @ np.vstack([d**2, ones, np.log(_sinh_ratio(d / a))]))
     np.testing.assert_array_equal(heat_kernel_grid(Euclidean3(), u[:, 0], d), euclid)
     np.testing.assert_array_equal(heat_kernel_grid(Hyperbolic3(a), u[:, 0], d), hyperbolic)
 
@@ -249,3 +251,25 @@ def test_circle_series_lengths_stay_short(L):
     assert max(_image_radius(float(v), L) for v in below) <= 4
     assert max(_mode_count(float(v), L) for v in above) <= 3
     assert _image_radius(switch, L) <= 4 and _mode_count(switch, L) <= 3
+
+
+@pytest.mark.parametrize("L", [0.7, 1.0, 2.0 * math.pi, 5.0])
+def test_images_beyond_the_underflow_cap_are_exact_zeros(L):
+    # on a panel u in [u_max/4, u_max], the sum to the capped radius equals
+    # the radius-4 sum bit for bit, down to radius 0
+    from curvebound.manifolds import _circle_images, _image_radius
+
+    xi = np.linspace(-0.5 * L, 0.5 * L, 201)
+    radii = set()
+    for u_max in L**2 * np.geomspace(1e-5, 2e-2, 40):
+        for xi_max in (0.5 * L, 0.1 * L, 0.0):
+            row = xi[np.abs(xi) <= xi_max]
+            radius = _image_radius(u_max, L, xi_max)
+            radii.add(radius)
+            u = np.geomspace(0.25 * u_max, u_max, 12)[:, None]
+            np.testing.assert_array_equal(_circle_images(u, row, L, radius),
+                                          _circle_images(u, row, L, 4))
+    assert 0 in radii and 1 in radii
+    u = np.geomspace(1e-6, 8e-5, 12)[:, None] * L**2  # the cap is 0 up to u = L^2/12000
+    assert _image_radius(float(u[-1, 0]), L) == 0
+    np.testing.assert_array_equal(_circle_images(u, xi, L, 0), _circle_images(u, xi, L, 4))

@@ -55,6 +55,30 @@ def test_oracle_equivalence_grid(e_frac, d):
     assert abs(got - ref) / abs(ref) < 1e-8
 
 
+@pytest.mark.parametrize("m", [1.0, 2.0])
+def test_oracle_matches_adaptive_quadrature(m):
+    # the Gauss-Legendre ladder against scipy's adaptive quadrature of the
+    # p-integral on the grid of the validate check, and E = 0 in closed form
+    from scipy.integrate import quad
+
+    for e_frac in (-0.9, 0.0, 0.9):
+        for dm in (0.1, 1.0, 5.0):
+            E, d = e_frac * m, dm / m
+            if E == 0.0:
+                ref = math.exp(-m * d) / (8.0 * math.pi * d)
+            else:
+                j = quad(lambda p: math.exp(-d * math.hypot(m, E * math.tan(p))),
+                         0.0, 0.5 * math.pi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+                sgn = math.copysign(1.0, E)
+                kappa = math.sqrt(m * m - E * E)
+                ref = (0.5 * math.pi * (1.0 + sgn) * math.exp(-kappa * d) - sgn * j) / (
+                    4.0 * math.pi**2 * d)
+            assert flat_resolvent_oracle(E, d, m) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    for d in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            flat_resolvent_oracle(0.5 * m, d, m)
+
+
 def test_plain_monotone_in_energy():
     x, y = pts(1.0)
     vals = [pair_kernel_plain(E, x, y, 1.0).value for E in np.linspace(-0.9, 0.9, 13)]
