@@ -236,6 +236,21 @@ def _sinh_ratio(rho):
     return out
 
 
+def _log_sinh_ratio(rho):
+    """log(rho/sinh rho), finite at any rho >= 0.
+
+    Beyond rho = 20 it is log(2 rho) - rho - log1p(-e^{-2 rho}), so that sinh,
+    which overflows beyond rho ~ 710, is never formed there.
+    """
+    rho = np.asarray(rho, dtype=float)
+    out = np.empty(rho.shape)
+    far = rho > 20.0
+    out[~far] = np.log(_sinh_ratio(rho[~far]))
+    rf = rho[far]
+    out[far] = np.log(2.0 * rf) - rf - np.log1p(-np.exp(-2.0 * rf))
+    return out
+
+
 def heat_kernel_grid(manifold: ManifoldSpec, u, disp):
     """Kernel values on a (u grid) x (displacement batch) product.
 
@@ -261,7 +276,7 @@ def heat_kernel_grid(manifold: ManifoldSpec, u, disp):
     if hyperbolic:
         a = manifold.curvature_radius
         col[:, 1] -= u / a**2
-        row[2] = np.log(_sinh_ratio(d / a))
+        row[2] = _log_sinh_ratio(d / a)
     out = col @ row
     np.exp(out, out=out)
     return out

@@ -39,6 +39,7 @@ from typing import Union
 
 import numpy as np
 
+from . import quadrature
 from .curves import CurveFamily, SampledCurve
 from .manifolds import (
     DomainError,
@@ -56,9 +57,7 @@ from .quadrature import (
     _contract,
     _erfcx,
     _leggauss,
-    weight_derivative,
-    weight_plain,
-    weight_renormalized,
+    _rule_nodes,
 )
 
 
@@ -229,6 +228,14 @@ class _Contraction:
     The prescription and the largest |energy| fix the ladder of each trace:
     e_max, and on a diagonal under MinimalBoundState max(e_max, |mu_i|).
     mu and the mass are read from the family.
+
+    The u nodes of the traces the call contracts are held in one vector, so
+    each energy's weight is one evaluation for all entries, and what does not
+    depend on the energy (each diagonal's w_mu_i, the RGScale counterterm
+    entries) is evaluated once per call.  A trace joins that vector when the
+    call first contracts it, so an entry the call never reads costs no kernel.
+    The weights are looked up on the quadrature module at each call, so
+    rebinding them there (to count or time them) sees every evaluation.
     """
 
     def __init__(self, family: CurveFamily, p: Prescription, manifold: ManifoldSpec,
@@ -239,25 +246,45 @@ class _Contraction:
         self.e_max = max((abs(E) for E in energies), default=0.0)
         self.fingerprint = family_fingerprint(family, manifold)
         self.store = _trace_store(family, manifold, cfg)
-        self._rules = {}  # (i, j, counterterm) -> that trace's rules on this call's ladder
+        self._u = np.empty(0)  # the rule nodes of every trace in _rules, concatenated
+        self._rules, self._slots = {}, {}  # (i, j) -> rules on this call's ladder, slice of _u
+        self._w_mu, self._counter = {}, {}  # i -> w_mu_i on diagonal i's nodes, its counterterm
 
     def _check(self, E):
         _check_energy(E, self.family.mass)
         if isinstance(self.p, RGScale) and not E < self.p.mu:
             raise DomainError("flow prescription requires E < mu")
 
-    def _integrate(self, weight, i, j, counterterm=False):
-        key = (i, j, counterterm)
-        if key not in self._rules:
+    def _nodes(self, keys):
+        """The shared u nodes, first extended by the traces of keys not yet held."""
+        parts = [self._u]
+        for i, j in keys:
+            if (i, j) in self._rules:
+                continue
             e = self.e_max
-            if counterterm:
-                trace = self.store.counterterm(i)
-            else:
-                trace = self.store.traces[i, j]
-                if i == j and isinstance(self.p, MinimalBoundState):
-                    e = max(e, abs(self.family.mu[i]))
-            self._rules[key] = trace.rules(self.family.mass, e)
-        return _contract(self._rules[key], weight)
+            if i == j and isinstance(self.p, MinimalBoundState):
+                e = max(e, abs(self.family.mu[i]))
+            self._rules[i, j] = rules = self.store.traces[i, j].rules(self.family.mass, e)
+            start = sum(map(len, parts))
+            parts.append(_rule_nodes(rules))
+            self._slots[i, j] = slice(start, start + len(parts[-1]))
+        if len(parts) > 1:
+            self._u = np.concatenate(parts)
+        return self._u
+
+    def _subtraction(self, i):
+        """w_mu_i on the nodes of diagonal i."""
+        if i not in self._w_mu:
+            self._w_mu[i] = quadrature.weight_plain(self._u[self._slots[i, i]],
+                                                    self.family.mu[i], self.family.mass)
+        return self._w_mu[i]
+
+    def _counterterm(self, i):
+        """[full, half] rule values of curve i's RGScale counterterm trace."""
+        if i not in self._counter:
+            self._counter[i] = self.store.counterterm(i).integrate(
+                _counterterm_weight(self.p.mu), self.family.mass, self.e_max)
+        return self._counter[i]
 
     def phi(self, E):
         """(entries, err, band) of Phi(E), unchecked against the tolerance.
@@ -265,26 +292,25 @@ class _Contraction:
         |E| must not exceed the largest |energy| the call was set up for.
         """
         self._check(E)
-        fam, p, m = self.family, self.p, self.family.mass
+        fam, p = self.family, self.p
         n = len(fam)
-
-        def w_E(u):
-            return weight_plain(u, E, m)
+        # a diagonal at its own mu_i has a subtraction weight that vanishes identically
+        keys = [(i, j) for i, j in self.store.traces
+                if i != j or isinstance(p, RGScale) or E != fam.mu[i]]
+        w_E = quadrature.weight_plain(self._nodes(keys), E, fam.mass)
 
         # [full rule, half rule] x entry, the diagonal's band column apart
         r = np.zeros((2, n, n))
         band = np.zeros(n)
-        for i, j in self.store.traces:
+        for i, j in keys:
+            w, rules = w_E[self._slots[i, j]], self._rules[i, j]
             if i != j:
-                d = -self._integrate(w_E, i, j)
+                d = -_contract(rules, w)
             elif isinstance(p, RGScale):
-                d = (self._integrate(_counterterm_weight(p.mu), i, i, counterterm=True)
-                     - self._integrate(w_E, i, i))
+                d = self._counterterm(i) - _contract(rules, w)
                 d[:, 0] += 1.0 / p.lambda_R
-            elif E == fam.mu[i]:  # the subtraction weight vanishes identically
-                d = np.zeros((2, 2))
             else:
-                d = self._integrate(lambda u: weight_renormalized(u, E, fam.mu[i], m), i, i)
+                d = _contract(rules, self._subtraction(i) - w)
             r[:, i, j] = r[:, j, i] = d[:, 0]
             if i == j:
                 band[i] = d[0, 1]
@@ -293,11 +319,11 @@ class _Contraction:
     def dphi(self, E):
         """dPhi/dE: every entry is minus the derivative-weighted trace."""
         _check_energy(E, self.family.mass)
-        m, n = self.family.mass, len(self.family)
+        n = len(self.family)
+        w = quadrature.weight_derivative(self._nodes(self.store.traces), E, self.family.mass)
         out = np.zeros((n, n))
         for i, j in self.store.traces:
-            out[i, j] = out[j, i] = -self._integrate(lambda u: weight_derivative(u, E, m),
-                                                     i, j)[0, 0]
+            out[i, j] = out[j, i] = -_contract(self._rules[i, j], w[self._slots[i, j]])[0, 0]
         return out
 
     def matrix(self, E) -> PrincipalMatrix:

@@ -14,6 +14,8 @@ folded into the weight
 
 The weight is evaluated through erfcx in a sign-split form that stays finite
 for any -m < E < m and any u (the naive product overflows once E^2 u > 700).
+erfcx is Weideman's rational expansion of the Faddeeva function on the real
+axis (J. A. C. Weideman, SIAM J. Numer. Anal. 31 (1994) 1497), in NumPy.
 u-integration uses geometric panels with Gauss-Legendre nodes between a
 boundary-layer floor ~ d^2/160 and an exponential-tail cap set by the
 largest |energy| in play, and the error estimate is the defect of an
@@ -110,19 +112,48 @@ class PairKernelValue:
 # subordination weights, overflow-safe
 
 
-_erfcx_ufunc = None
+@lru_cache(maxsize=1)
+def _erfcx_coefficients():
+    """(L, C): the n = 40 coefficients of p in Weideman's erfcx, C[j, k] that of Z^(8j + k).
 
-
-def _erfcx(z):
-    """Scaled complementary error function e^{z^2} erfc(z).
-
-    scipy.special is imported on the first call, so a run that evaluates no
-    subordination weight (a one-circle bound, the coupling flow) never loads it.
+    They are a real DFT of e^{-t^2}(L^2 + t^2) at t = L tan(k pi/4n), |k| < 2n.
+    Read-only, since the cached array is shared.
     """
-    global _erfcx_ufunc
-    if _erfcx_ufunc is None:
-        from scipy.special import erfcx as _erfcx_ufunc
-    return _erfcx_ufunc(z)
+    n, block = 40, 8
+    L = math.sqrt(n / math.sqrt(2.0))
+    t = L * np.tan(np.arange(1 - 2 * n, 2 * n) * (math.pi / (4 * n)))
+    f = np.concatenate([[0.0], np.exp(-t * t) * (L * L + t * t)])
+    a = np.fft.fft(np.fft.fftshift(f)).real / (4 * n)
+    coeffs = a[1:n + 1].reshape(-1, block)
+    coeffs.flags.writeable = False
+    return L, coeffs
+
+
+def _erfcx(x):
+    """Scaled complementary error function e^{x^2} erfc(x) for x >= 0.
+
+    erfcx(x) = (2 p(Z)/(L + x) + 1/sqrt(pi))/(L + x),  Z = (L - x)/(L + x),
+    with p the degree-39 polynomial of _erfcx_coefficients.  p is summed in
+    blocks: the powers Z^0..Z^7, one matrix product for the five blocks of
+    eight coefficients, then Horner in Z^8 over the blocks.  Relative error
+    below 1e-15 on [0, 1e8].
+    """
+    L, coeffs = _erfcx_coefficients()
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    s = L + flat
+    z = (L - flat) / s
+    powers = np.empty((coeffs.shape[1], z.size))
+    powers[0] = 1.0
+    for k in range(1, len(powers)):
+        np.multiply(powers[k - 1], z, out=powers[k])
+    blocks = coeffs @ powers
+    z *= powers[-1]  # Z^8
+    p = blocks[-1]
+    for row in blocks[-2::-1]:
+        p *= z
+        p += row
+    return ((2.0 * p / s + 1.0 / _SQRT_PI) / s).reshape(x.shape)
 
 
 def weight_plain(u, E, m):
@@ -282,18 +313,24 @@ class _HeatTrace:
         return self._rules[n]
 
     def integrate(self, weight, m, e_max):
-        """[full, half] rule values of int du weight(u) T(u), a column per coefficient vector."""
-        return _contract(self.rules(m, e_max), weight)
+        """[full, half] rule values of int du weight(u) T(u), a column per coefficient vector.
+
+        weight is evaluated once, on the nodes of both rules.
+        """
+        rules = self.rules(m, e_max)
+        return _contract(rules, weight(_rule_nodes(rules)))
 
 
-def _contract(rules, weight):
-    """[full, half] rule values of int du weight(u) T(u) from _HeatTrace.rules.
+def _rule_nodes(rules):
+    """The u nodes of both rules of _HeatTrace.rules, the full rule first."""
+    return np.concatenate([rules[0][0], rules[1][0]])
 
-    weight is evaluated once, on the nodes of both rules.
-    """
-    (u_full, w_full, t_full), (u_half, w_half, t_half) = rules
-    wu = weight(np.concatenate([u_full, u_half]))
-    n = len(u_full)
+
+def _contract(rules, wu):
+    """[full, half] rule values of int du w(u) T(u) from _HeatTrace.rules,
+    with wu = w(_rule_nodes(rules))."""
+    (_, w_full, t_full), (_, w_half, t_half) = rules
+    n = len(w_full)
     return np.array([(w_full * wu[:n]) @ t_full, (w_half * wu[n:]) @ t_half])
 
 

@@ -168,36 +168,24 @@ def test_hyperbolic_distance_resolves_near_coincidence():
     assert d[0] == pytest.approx(1e-10, rel=1e-12)
 
 
-@pytest.mark.parametrize("command", [None, "bounds", "flow"], ids=["import", "bounds", "flow"])
-def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path, command):
-    """Neither the import nor a bounds or flow run loads any part of scipy.
+@pytest.mark.parametrize("command", [None, "bounds", "flow", "solve", "scan", "validate"],
+                         ids=["import", "bounds", "flow", "solve", "scan", "validate"])
+def test_cli_leaves_scipy_unloaded(tmp_path, command):
+    """Neither the import nor any subcommand loads any part of scipy.
 
-    A one-circle bound evaluates no special function, and the flow builds its
-    Laguerre rules and its ODE cross-check in NumPy.
+    erfcx is NumPy, the flow builds its Laguerre rules and its ODE cross-check
+    in NumPy, and the resolvent oracle of validate is Gauss-Legendre panels.
     """
     code = "import sys, curvebound.cli\n"
     if command is not None:
         cfg = Path(__file__).parents[1] / "perfbench" / "configs" / f"{command}.json"
         argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
         code += f"assert curvebound.cli.main({argv!r}) == 0\n"
-    code += "print('scipy' in sys.modules)"
+    code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(Path(curvebound.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_cli_validate_leaves_scipy_integrate_unloaded(tmp_path):
-    """The resolvent oracle of validate is Gauss-Legendre panels in NumPy."""
-    cfg = Path(__file__).parents[1] / "perfbench" / "configs" / "validate.json"
-    argv = ["validate", "--config", str(cfg), "--out", str(tmp_path)]
-    code = ("import sys, curvebound.cli\n"
-            f"assert curvebound.cli.main({argv!r}) == 0\n"
-            "print('scipy.special' in sys.modules, 'scipy.integrate' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": str(Path(curvebound.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "True False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_family_geometry_cannot_move_in_place():
@@ -479,3 +467,29 @@ def test_contraction_evaluates_the_weight_once(monkeypatch):
     monkeypatch.setattr(curvebound.quadrature, "weight_plain", counted)
     assemble(family, -0.4)
     assert calls[0] == 2
+
+
+def test_assemble_evaluates_each_weight_once_for_all_entries(monkeypatch):
+    # the nodes of all six traces of three circles form one vector: one w_E
+    # evaluation per energy, and one w_mu_i per diagonal
+    family = circle_family([1.0, 0.5], mus=[0.1, -0.2, 0.05])
+    assemble(family, -0.5)
+    energies = []
+    original = curvebound.quadrature.weight_plain
+
+    def counted(u, E, m):
+        energies.append(E)
+        return original(u, E, m)
+
+    monkeypatch.setattr(curvebound.quadrature, "weight_plain", counted)
+    M = assemble(family, -0.4)
+    assert sorted(energies) == sorted([-0.4, 0.1, -0.2, 0.05])
+    # each entry is its own trace's contraction, bit for bit
+    mu = family.mu
+    for (i, j), trace in _trace_store(family, EUCLID, DEFAULT_QUADRATURE).traces.items():
+        if i == j:
+            ref = trace.integrate(lambda u: weight_renormalized(u, -0.4, mu[i], 1.0), 1.0,
+                                  max(0.4, abs(mu[i])))[0, 0]
+        else:
+            ref = -trace.integrate(lambda u: weight_plain(u, -0.4, 1.0), 1.0, 0.4)[0, 0]
+        assert M.entries[i, j] == ref

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,12 @@ from curvebound import (
     heat_kernel,
     volume,
 )
-from curvebound.manifolds import _sinh_ratio, heat_kernel_grid, pair_displacement
+from curvebound.manifolds import (
+    _log_sinh_ratio,
+    _sinh_ratio,
+    heat_kernel_grid,
+    pair_displacement,
+)
 
 
 def test_euclid_coincidence_value():
@@ -273,3 +279,25 @@ def test_images_beyond_the_underflow_cap_are_exact_zeros(L):
     u = np.geomspace(1e-6, 8e-5, 12)[:, None] * L**2  # the cap is 0 up to u = L^2/12000
     assert _image_radius(float(u[-1, 0]), L) == 0
     np.testing.assert_array_equal(_circle_images(u, xi, L, 0), _circle_images(u, xi, L, 4))
+
+
+def test_hyperbolic_kernel_far_apart_raises_no_warning():
+    # sinh overflows beyond ~710 curvature radii; the kernel there is an exact 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = heat_kernel_grid(Hyperbolic3(1.0), np.array([1e-3, 1.0, 300.0]),
+                                 np.array([1.0, 800.0]))
+    assert np.all(np.isfinite(block))
+    assert np.all(block[:, 0] > 0) and np.all(block[:, 1] == 0.0)
+
+
+def test_log_sinh_ratio_matches_its_direct_form():
+    # log(rho/sinh rho) enters an exponent, so its absolute error is what counts
+    rho = np.geomspace(1e-3, 700.0, 20001)
+    direct = np.log(rho / np.sinh(rho))
+    np.testing.assert_allclose(_log_sinh_ratio(rho), direct, rtol=0,
+                               atol=4.0 * np.spacing(np.abs(direct)).max())
+    near = rho < 30
+    np.testing.assert_allclose(_log_sinh_ratio(rho[near]), direct[near], rtol=0, atol=1e-14)
+    far = np.array([800.0, 1e5, 1e300])
+    np.testing.assert_allclose(_log_sinh_ratio(far), np.log(2.0 * far) - far, rtol=1e-15)

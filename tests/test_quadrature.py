@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import k0
+from scipy.special import erfcx, k0
 
 from curvebound import (
     DomainError,
@@ -14,6 +14,7 @@ from curvebound import (
     pair_kernel_plain,
     pair_kernel_renormalized,
 )
+from curvebound.quadrature import _erfcx
 
 EUCLID = Euclidean3()
 
@@ -191,3 +192,12 @@ def test_oracle_yukawa_limit():
     for d in (0.2, 1.0, 4.0):
         assert flat_resolvent_oracle(0.0, d) == pytest.approx(
             math.exp(-d) / (8.0 * math.pi * d), rel=1e-12)
+
+
+def test_erfcx_matches_scipy():
+    # Weideman's expansion in NumPy against scipy's erfcx as an oracle
+    x = np.concatenate([[0.0], np.geomspace(1e-12, 1e8, 20001)])
+    ref = erfcx(x)
+    assert np.max(np.abs(_erfcx(x) - ref) / ref) <= 2e-15
+    assert abs(float(_erfcx(0.0)) - 1.0) <= np.spacing(1.0)
+    np.testing.assert_array_equal(_erfcx(x.reshape(2, -1)), _erfcx(x).reshape(2, -1))
