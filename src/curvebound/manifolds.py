@@ -13,6 +13,10 @@ The circle kernel is kept in the circumference-L convention
 
 with a Poisson-resummed image form used below the switch point, so both the
 u -> 0 and u -> infinity regimes converge with a handful of terms.
+
+heat_kernel_grid works in two stages: kernel_geometry holds what depends on
+the pairs alone (a heat trace builds it once), and each call on a u grid
+forms the block from it.
 """
 
 from __future__ import annotations
@@ -251,35 +255,179 @@ def _log_sinh_ratio(rho):
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class KernelGeometry:
+    """The diffusion-time-independent factors of a kernel block, a column per pair.
+
+    rows holds the pair factors of the exponent a(u) d^2 + b(u): d^2 and 1,
+    and on Hyperbolic3 also log(rho/sinh rho).  On FlatTorus3, d^2 is |xi|^2,
+    and per axis xi is the wrapped separation, xi_max the running maximum of
+    |xi| (so a prefix's largest is its last column) and cosines the
+    cos(2 pi n xi/L) for n = 0.._mode_count(switch).  geometry[:k] is the
+    geometry of the first k pairs; np.shape counts pairs, as for a
+    displacement batch.
+    """
+
+    rows: np.ndarray
+    xi: np.ndarray | None = None
+    xi_max: np.ndarray | None = None
+    cosines: np.ndarray | None = None
+
+    @property
+    def shape(self):
+        return self.rows.shape[1:]
+
+    def __getitem__(self, prefix):
+        return KernelGeometry(*(None if a is None else a[..., prefix]
+                                for a in (self.rows, self.xi, self.xi_max, self.cosines)))
+
+
+def kernel_geometry(manifold: ManifoldSpec, disp) -> KernelGeometry:
+    """The KernelGeometry of a pair_displacement batch."""
+    disp = np.asarray(disp, dtype=float)
+    if isinstance(manifold, FlatTorus3):
+        ls = np.asarray(manifold.circumferences)[:, None]
+        xi = _wrap(np.atleast_2d(disp).T, ls)
+        n = 2.0 * math.pi * np.arange(_mode_count(POISSON_SWITCH, 1.0) + 1)
+        return KernelGeometry(np.stack([np.sum(xi * xi, axis=0), np.ones(xi.shape[1])]), xi,
+                              np.maximum.accumulate(np.abs(xi), axis=1),
+                              np.cos(n[:, None] * xi[:, None, :] / ls[:, :, None]))
+    rows = [disp * disp, np.ones(disp.shape)]
+    if isinstance(manifold, Hyperbolic3):
+        rows.append(_log_sinh_ratio(disp / manifold.curvature_radius))
+    return KernelGeometry(np.array(rows))
+
+
+# -(3/2) log(4 pi u) above which (4 pi u)^{-3/2} is a row factor (u below
+# about 1e-4): in the exponent a(u) d^2 + b(u), the rounding of b costs
+# about |b| ulps of the kernel
+ROW_SCALE_EXPONENT = 10.0
+
+# np.exp results below e^-708.4 are subnormal and take a slow path
+EXP_SUBNORMAL = 708.0
+
+
+def _radial_block(u, rows, a=None, out=None):
+    """exp(a(u) d^2 + b(u) (+ log(rho/sinh rho))), a = -1/(4u) and
+    b = -(3/2) log(4 pi u) (- u/a^2 on Hyperbolic3): one (nu x r) @ (r x npairs)
+    product, exponentiated in place.  On rows with -(3/2) log(4 pi u) >
+    ROW_SCALE_EXPONENT, (4 pi u)^{-3/2} is a row factor instead."""
+    col = np.ones((u.shape[0], rows.shape[0]))
+    col[:, 0] = -0.25 / u
+    four_pi_u = 4.0 * math.pi * u
+    b = col[:, 1]
+    b[:] = -1.5 * np.log(four_pi_u)
+    scaled = b > ROW_SCALE_EXPONENT
+    scale = np.where(scaled, four_pi_u, 1.0)[:, None] ** -1.5 if scaled.any() else None
+    b[scaled] = 0.0
+    if a is not None:
+        b -= u / a**2
+    out = np.matmul(col, rows, out=out)
+    np.exp(out, out=out)
+    if scale is not None:
+        out *= scale
+    return out
+
+
+def _image_sum(out, u, xi, L, radius):
+    """sum_{|k| <= radius} exp(-(xi + k L)^2/4u)/sqrt(4 pi u) into out.
+
+    radius is per row and ascending, so each image is one block of the last
+    rows.  An image term below e^-EXP_SUBNORMAL is evaluated as that bound,
+    off by less than 4e-308 and kept off the slow path of subnormal and
+    underflowing exp results.
+    """
+    minus_four_u = -4.0 * u[:, None]
+    sq = np.multiply(xi, xi)
+    np.divide(sq, minus_four_u, out=out)
+    np.exp(out, out=out)
+    first = np.searchsorted(radius, np.arange(1, radius[-1] + 1)).tolist()  # image k's first row
+    term = np.empty_like(out[first[0]:]) if first else None
+    for k, lo in enumerate(first, 1):
+        t = term[lo - first[0]:]
+        for shift in (k * L, -k * L):
+            np.add(xi, shift, out=sq)
+            np.divide(np.multiply(sq, sq, out=sq), minus_four_u[lo:], out=t)
+            np.maximum(t, -EXP_SUBNORMAL, out=t)
+            out[lo:] += np.exp(t, out=t)
+    out /= np.sqrt(4.0 * math.pi * u)[:, None]
+
+
+def _mode_sum(out, u, cosines, L):
+    """(1/L) sum_n c_n(u) cos(2 pi n xi/L) into out: one (nu x (N+1)) @ ((N+1) x npairs)
+    product, c_0 = 1 and c_n = 2 exp(-4 pi^2 n^2 u/L^2) where that is above
+    e^-GAUSSIAN_TAIL, else 0."""
+    n = np.arange(1, cosines.shape[0])
+    expo = np.multiply.outer(u, -4.0 * math.pi**2 * n**2) / L**2
+    coef = np.zeros((len(u), cosines.shape[0]))
+    coef[:, 0] = 0.5
+    np.exp(expo, out=coef[:, 1:], where=expo >= -GAUSSIAN_TAIL)
+    coef *= 2.0 / L
+    np.matmul(coef, cosines, out=out)
+
+
+def _torus_block(ls, u, g: KernelGeometry):
+    """FlatTorus3 kernel block: a product of circle kernels, one per axis.
+
+    Per axis, the rows at or above the Poisson switch are a mode sum and the
+    others an image sum whose radius is per row: the images within
+    e^-GAUSSIAN_TAIL of image 0 at the largest |xi|, x, and none whose
+    largest value is below the smallest normal double.  Image k is kept on a
+    row iff k L <= x + sqrt(min(x^2 + 4 GAUSSIAN_TAIL u, 4 EXP_SUBNORMAL u)).
+    Rows on which every axis keeps image 0 alone are the Euclidean block on
+    |xi|^2.
+    """
+    out = np.empty((u.shape[0], g.shape[0]))
+    if not out.size:
+        return out
+    x = g.xi_max[:, -1].tolist()
+    flat = min(min(POISSON_SWITCH * L * L, max(L * (L - 2.0 * xj) / (4.0 * GAUSSIAN_TAIL),
+                                                (L - xj) ** 2 / (4.0 * EXP_SUBNORMAL)))
+               for L, xj in zip(ls, x))
+    if u.max() < flat:
+        return _radial_block(u, g.rows, out=out)
+    order = None if np.all(u[1:] >= u[:-1]) else np.argsort(u)
+    if order is not None:
+        u = u[order]
+    flat = int(np.searchsorted(u, flat))
+    if flat:
+        _radial_block(u[:flat], g.rows, out=out[:flat])
+    rest = factor = out[flat:]
+    for axis, (L, xj) in enumerate(zip(ls, x)):
+        if axis == 1:
+            factor = np.empty_like(rest)
+        m = max(flat, int(np.searchsorted(u, POISSON_SWITCH * L * L)))
+        if m > flat:
+            v = u[flat:m]
+            radius = (xj + np.sqrt(np.minimum(xj * xj + 4.0 * GAUSSIAN_TAIL * v,
+                                              4.0 * EXP_SUBNORMAL * v))) // L
+            _image_sum(factor[:m - flat], v, g.xi[axis], L, radius.astype(int))
+        if m < len(u):
+            _mode_sum(factor[m - flat:], u[m:], g.cosines[axis], L)
+        if axis:
+            rest *= factor
+    if order is None:
+        return out
+    block, out = out, np.empty_like(out)
+    out[order] = block
+    return out
+
+
 def heat_kernel_grid(manifold: ManifoldSpec, u, disp):
     """Kernel values on a (u grid) x (displacement batch) product.
 
-    u is (nu,), disp comes from pair_displacement; returns (nu, npairs).
+    u is (nu,); disp comes from pair_displacement, or is its KernelGeometry
+    (which a heat trace builds once and passes a prefix of per u-panel).
+    Returns (nu, npairs).
     """
     u = np.asarray(u, dtype=float)
+    g = disp if isinstance(disp, KernelGeometry) else kernel_geometry(manifold, disp)
     if isinstance(manifold, FlatTorus3):
-        disp = np.asarray(disp)
-        u = u[:, None]
-        out = circle_heat_kernel(u, disp[None, :, 0], manifold.circumferences[0])
-        for axis in (1, 2):
-            out *= circle_heat_kernel(u, disp[None, :, axis], manifold.circumferences[axis])
-        return out
-    # one block: the exponent a(u) d^2 + b(u) (+ log(rho/sinh rho)) is one
-    # (nu x r) @ (r x npairs) product, exponentiated in place
-    d = np.asarray(disp, dtype=float)
-    hyperbolic = isinstance(manifold, Hyperbolic3)
-    col = np.ones((u.shape[0], 3 if hyperbolic else 2))
-    col[:, 0] = -0.25 / u
-    col[:, 1] = -1.5 * np.log(4.0 * math.pi * u)
-    row = np.ones((col.shape[1], d.shape[0]))
-    row[0] = d * d
-    if hyperbolic:
-        a = manifold.curvature_radius
-        col[:, 1] -= u / a**2
-        row[2] = _log_sinh_ratio(d / a)
-    out = col @ row
-    np.exp(out, out=out)
-    return out
+        if not np.all(u > 0):
+            raise DomainError("diffusion time must be positive")
+        return _torus_block(manifold.circumferences, u, g)
+    return _radial_block(u, g.rows, manifold.curvature_radius
+                         if isinstance(manifold, Hyperbolic3) else None)
 
 
 def heat_kernel(manifold: ManifoldSpec, u: float, x, y) -> float:

@@ -47,6 +47,7 @@ from .manifolds import (
     ManifoldSpec,
     displacement_distance,
     heat_kernel_grid,
+    kernel_geometry,
     pair_displacement,
 )
 
@@ -170,15 +171,21 @@ def weight_renormalized(u, E, mu, m):
 
 
 def _g_tail(z):
-    """1/sqrt(pi) - z erfcx(z), stable for large z via the asymptotic series."""
+    """1/sqrt(pi) - z erfcx(z), without the cancellation of that form for large z.
+
+    Above z = 4 it is R/(sqrt(pi) (z + R)) with R = (1/2)/(z + 1/(z + (3/2)/(z + ...))),
+    Laplace's continued fraction for sqrt(pi) erfcx(z) = 1/(z + R) (Abramowitz
+    and Stegun 7.1.14), summed backward from 20 terms: within 3e-15 relative.
+    """
     z = np.asarray(z, dtype=float)
     out = np.empty(z.shape)
-    small = z <= 10.0
+    small = z <= 4.0
     out[small] = 1.0 / _SQRT_PI - z[small] * _erfcx(z[small])
     zb = z[~small]
-    iz2 = 1.0 / (zb * zb)
-    s = 0.5 * iz2 * (1.0 - iz2 * (1.5 - iz2 * (3.75 - iz2 * (13.125 - iz2 * 59.0625))))
-    out[~small] = s / _SQRT_PI
+    r = np.zeros(zb.shape)
+    for k in range(20, 0, -1):
+        r = 0.5 * k / (zb + r)
+    out[~small] = r / (_SQRT_PI * (zb + r))
     return out
 
 
@@ -267,16 +274,18 @@ class _HeatTrace:
     that the ladder for e_max has beyond those already held, and returns
     exactly that ladder (with its own tail panel), so a result never depends
     on which larger ladders were asked for before.  A trace serves one mass
-    m.  kernel(u, disp) returns the (len(u), len(disp)) kernel block, and
-    each new panel is one such call over the nodes of both rules; a trace
-    that is never contracted costs nothing.
+    m.  geometry(disp) prepares the sorted displacements once, before the
+    first panel, kernel(u, geometry[:k]) returns the (len(u), k) kernel
+    block, and each new panel is one such call over the nodes of both rules;
+    a trace that is never contracted costs nothing.
     """
 
-    def __init__(self, kernel, disp, dist, coeffs, cfg: QuadratureConfig, tail=False):
+    def __init__(self, kernel, disp, dist, coeffs, cfg: QuadratureConfig, tail=False,
+                 geometry=None):
         order = np.argsort(dist, kind="stable")
         d = np.asarray(dist, dtype=float)[order]
         self._d_min, self._d2 = float(d[0]), d * d
-        self._kernel, self._disp = kernel, np.asarray(disp)[order]
+        self._kernel, self._disp, self._geometry = kernel, np.asarray(disp)[order], geometry
         self._coeffs = np.atleast_2d(coeffs).T[order]
         self._cfg, self._tail = cfg, tail
         self._orders = (cfg.u_nodes, max(8, cfg.u_nodes // 2))
@@ -288,6 +297,8 @@ class _HeatTrace:
         call over both rules' nodes, nodes = [(u, w) full, (u, w) half], and
         the k closest pairs."""
         (u_full, w_full), (u_half, w_half) = nodes
+        if self._geometry is not None:
+            self._disp, self._geometry = self._geometry(self._disp), None
         trace = self._kernel(np.concatenate([u_full, u_half]), self._disp[:k]) @ self._coeffs[:k]
         n = len(u_full)
         return (u_full, w_full, trace[:n]), (u_half, w_half, trace[n:])
@@ -335,9 +346,11 @@ def _contract(rules, wu):
 
 
 def _ambient_trace(manifold: ManifoldSpec, disp, coeffs, cfg: QuadratureConfig):
-    """_HeatTrace of the manifold's heat kernel over a pair_displacement batch."""
-    return _HeatTrace(lambda u, d: heat_kernel_grid(manifold, u, d), disp,
-                      displacement_distance(manifold, disp), coeffs, cfg)
+    """_HeatTrace of the manifold's heat kernel over a pair_displacement batch,
+    whose KernelGeometry is built once, in the trace's distance order."""
+    return _HeatTrace(lambda u, g: heat_kernel_grid(manifold, u, g), disp,
+                      displacement_distance(manifold, disp), coeffs, cfg,
+                      geometry=lambda d: kernel_geometry(manifold, d))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The lowest eigenvalue of Phi(E) is strictly decreasing in E (every entry of
 dPhi/dE is negative and the derivative kernel is positive definite), so the
 ground state is the unique zero of omega_min on the bracket and bracketed
-bisection is globally safe; a guarded secant step takes over once the bracket
-is small.  For a single curve under the bound-state prescription the zero
-sits exactly at E = mu by construction.
+bisection is globally safe.  Its exact slope is v^T dPhi/dE v
+(Feynman-Hellmann), one more contraction of the same traces, so the root
+finder is Newton with a bisection safeguard.  For a single curve under the
+bound-state prescription the zero sits exactly at E = mu by construction.
 
 Each call contracts the family's heat traces per energy over the u-rule
 that its energies need (the grid, the bracket, or E +- h); only the u-weight
@@ -87,8 +88,10 @@ def spectral_flow(
 
 
 def _omega_min(traces, E):
+    """(omega_min, its eigenvector, Phi(E))."""
     M = traces.matrix(E)
-    return float(np.linalg.eigvalsh(M.entries)[0]), M
+    w, v = np.linalg.eigh(M.entries)
+    return float(w[0]), v[:, 0], M
 
 
 def _disconnected(M: PrincipalMatrix):
@@ -127,41 +130,40 @@ def ground_state_energy(
     evals = 0
     traces = _Contraction(family, p, manifold, cfg, (lo, hi))
 
-    f_hi, M_hi = _omega_min(traces, hi)
+    f_hi, v, M_hi = _omega_min(traces, hi)
     evals += 1
     if abs(f_hi) < 1e-15:
         return GroundState(hi, (lo, hi), evals, f_hi, "converged", _disconnected(M_hi))
     if f_hi > 0:  # omega decreasing in E, so positive at the top means no zero below
         return GroundState(math.nan, (lo, hi), evals, math.nan, "no_bound_state_in_bracket")
 
-    f_lo, _ = _omega_min(traces, lo)
+    f_lo, _, _ = _omega_min(traces, lo)
     evals += 1
     if f_lo < 0:  # zero lies below the bracket floor
         return GroundState(math.nan, (lo, hi), evals, math.nan, "no_bound_state_in_bracket")
     if f_lo == 0.0:
         return GroundState(lo, (lo, hi), evals, 0.0, "converged")
 
-    a, fa, b, fb = lo, f_lo, hi, f_hi
-    mid, f_mid, M_mid = hi, f_hi, M_hi
-    step = 0
-    while b - a > tol_e and step < 200:
-        # guarded secant on even steps once the bracket is tight, else bisect
-        step += 1
-        if step % 2 == 0 and b - a < 1e-3 * m and fb != fa:
-            mid = b - fb * (b - a) / (fb - fa)
-            if not (a + 0.1 * tol_e < mid < b - 0.1 * tol_e):
-                mid = 0.5 * (a + b)
-        else:
-            mid = 0.5 * (a + b)
-        f_mid, M_mid = _omega_min(traces, mid)
+    # rtsafe (Numerical Recipes 9.4) from the top: Newton on the exact slope
+    # v^T Phi'(E) v, bisecting where a step would leave the bracket or not
+    # halve the step before last; stop once a step is below tol_e
+    a, b = lo, hi
+    E, f, M = hi, f_hi, M_hi
+    step = step_old = b - a
+    while evals < 200:
+        slope = float(v @ traces.dphi(E) @ v)
+        newton = a < E - f / slope < b and abs(2.0 * f) <= abs(step_old * slope)
+        step_old, step = step, f / slope if newton else E - 0.5 * (a + b)
+        E -= step
+        f, v, M = _omega_min(traces, E)
         evals += 1
-        if f_mid == 0.0:
-            break
-        if f_mid > 0:
-            a, fa = mid, f_mid
+        if f > 0:
+            a = E
         else:
-            b, fb = mid, f_mid
-    return GroundState(mid, (lo, hi), evals, f_mid, "converged", _disconnected(M_mid))
+            b = E
+        if abs(step) < tol_e or f == 0.0 or b - a < tol_e:
+            break
+    return GroundState(E, (lo, hi), evals, f, "converged", _disconnected(M))
 
 
 @dataclass(frozen=True, eq=False)

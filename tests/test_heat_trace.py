@@ -17,6 +17,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 import weakref
 from pathlib import Path
@@ -296,20 +297,23 @@ def test_polyline_kernel_work_skips_pairs_below_their_floor(kernel_counter):
 
 
 def test_torus_kernel_sums_only_live_series_terms(monkeypatch):
-    # each call truncates its image and mode sums to its own u-range: well
-    # under the full series of 13 images, and at most 3 modes
+    # each row truncates its image and mode sums to its own u: well under the
+    # full series of 13 images, and at most 3 modes
     summed = {"images": [0, 0], "modes": [0, 0]}  # [terms, elements]
-    for side, name, per in (("images", "_circle_images", lambda r: 2 * r + 1),
-                            ("modes", "_circle_spectral", lambda n: n)):
-        original = getattr(curvebound.manifolds, name)
+    images_of, modes_of = curvebound.manifolds._image_sum, curvebound.manifolds._mode_sum
 
-        def counted(u, xi, L, terms, side=side, original=original, per=per):
-            size = math.prod(np.broadcast_shapes(np.shape(u), np.shape(xi)))
-            summed[side][0] += per(terms) * size
-            summed[side][1] += size
-            return original(u, xi, L, terms)
+    def images(out, u, xi, L, radius):
+        summed["images"][0] += int(np.sum(2 * radius + 1)) * len(xi)
+        summed["images"][1] += len(u) * len(xi)
+        return images_of(out, u, xi, L, radius)
 
-        monkeypatch.setattr(curvebound.manifolds, name, counted)
+    def modes(out, u, cosines, L):
+        summed["modes"][0] += (cosines.shape[0] - 1) * out.size
+        summed["modes"][1] += out.size
+        return modes_of(out, u, cosines, L)
+
+    monkeypatch.setattr(curvebound.manifolds, "_image_sum", images)
+    monkeypatch.setattr(curvebound.manifolds, "_mode_sum", modes)
     store = _trace_store(_torus_loop_family(), TORUS, DEFAULT_QUADRATURE)
     assert store.traces[0, 0].rules(1.0, 0.6)
     images, image_elements = summed["images"]
@@ -320,19 +324,20 @@ def test_torus_kernel_sums_only_live_series_terms(monkeypatch):
 
 
 def test_torus_traces_sum_no_image_that_underflows_everywhere(monkeypatch):
-    # an image term whose every element is +0.0 adds nothing but a slow exp
+    # an image term whose every element on a row is +0.0 adds nothing but a
+    # slow exp
     summed, dead = [0], []
-    original = curvebound.manifolds._circle_images
+    original = curvebound.manifolds._image_sum
 
-    def checked(u, xi, L, radius):
-        wrapped = curvebound.manifolds._wrap(np.asarray(xi, dtype=float), L)
-        for k in range(-radius, radius + 1):
-            summed[0] += 1
-            if not np.any(np.exp(-((wrapped + k * L) ** 2) / (4.0 * np.asarray(u)))):
-                dead.append((k, L, float(np.max(u))))
-        return original(u, xi, L, radius)
+    def checked(out, u, xi, L, radius):
+        for v, r in zip(u, radius):
+            for k in range(-int(r), int(r) + 1):
+                summed[0] += 1
+                if not np.any(np.exp(-((xi + k * L) ** 2) / (4.0 * v))):
+                    dead.append((k, L, float(v)))
+        return original(out, u, xi, L, radius)
 
-    monkeypatch.setattr(curvebound.manifolds, "_circle_images", checked)
+    monkeypatch.setattr(curvebound.manifolds, "_image_sum", checked)
     loop = _trace_store(_torus_loop_family(), TORUS, DEFAULT_QUADRATURE)
     assert loop.traces[0, 0].rules(1.0, 0.6)
     circle = circle_family([1.0], mus=[0.0, 0.0])
@@ -493,3 +498,65 @@ def test_assemble_evaluates_each_weight_once_for_all_entries(monkeypatch):
         else:
             ref = -trace.integrate(lambda u: weight_plain(u, -0.4, 1.0), 1.0, 0.4)[0, 0]
         assert M.entries[i, j] == ref
+
+
+def test_rg_pair_matches_a_long_double_kernel(monkeypatch):
+    # where log(4 pi u) is large, (4 pi u)^{-3/2} is a row factor, so the
+    # near-coincident pairs at tiny u keep their last bits through the
+    # counterterm subtraction
+    p, E = RGScale(mu=0.5, lambda_R=100.0), -0.5
+    got = assemble(circle_family([3.6]), E, p).entries
+
+    def long_double(manifold, u, disp):
+        d2 = np.asarray(disp.rows[0], dtype=np.longdouble)
+        u = np.asarray(u, dtype=np.longdouble)[:, None]
+        return (np.exp(-d2 / (4 * u)) / (np.longdouble(4.0 * math.pi) * u) ** 1.5).astype(float)
+
+    monkeypatch.setattr(curvebound.quadrature, "heat_kernel_grid", long_double)
+    ref = assemble(circle_family([3.6]), E, p).entries
+    assert np.max(np.abs(got - ref)) <= 5e-15 * np.max(np.abs(ref))
+
+
+def test_torus_traces_make_no_subnormal_exp(monkeypatch):
+    # a subnormal exp result takes a slow path, ~100 times a normal one; torus
+    # traces like the benchmark's (an axis loop and a tilted circle on a torus
+    # of side ~5) make none
+    results = [0, 0]  # [all, subnormal]
+
+    def exp(*args, **kwargs):
+        out = np.exp(*args, **kwargs)
+        results[0] += np.size(out)
+        results[1] += int(np.count_nonzero((out != 0) & (np.abs(out) < np.finfo(float).tiny)))
+        return out
+
+    counting = types.ModuleType("numpy_counting_exp")
+    counting.__getattr__ = lambda name: getattr(np, name)
+    counting.exp = exp
+    monkeypatch.setattr(curvebound.manifolds, "np", counting)
+    torus = FlatTorus3((4.7, 5.1, 5.3))
+    for shape in (TorusLoop((0, 1, 0), (1.2, 0.4, 3.1)),
+                  Circle((2.0, 2.5, 1.5), 0.9, (0.3, -0.5, 0.8))):
+        family = family_geometry([resample_arclength(shape, 64, torus)], torus, [-0.35])
+        spectral_flow(family, [-0.8, -0.65, -0.5], manifold=torus)
+    assert results[0] > 0
+    assert results[1] == 0
+
+
+def test_trace_panels_reuse_the_kernel_geometry(monkeypatch):
+    # log(rho/sinh rho) depends on the pairs alone: one evaluation per trace,
+    # before its first panel, and none per u-panel
+    calls = [0]
+    original = curvebound.manifolds._log_sinh_ratio
+
+    def counted(rho):
+        calls[0] += 1
+        return original(rho)
+
+    monkeypatch.setattr(curvebound.manifolds, "_log_sinh_ratio", counted)
+    make, _, manifold, _ = PRUNING_CASES["hyperbolic_pair"]
+    store = _trace_store(make(), manifold, DEFAULT_QUADRATURE)
+    assert calls[0] == 0
+    for e_max in (0.3, 0.9):
+        for trace in store.traces.values():
+            trace.rules(1.0, e_max)
+    assert calls[0] == len(store.traces) == 3

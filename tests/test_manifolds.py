@@ -16,9 +16,12 @@ from curvebound import (
     volume,
 )
 from curvebound.manifolds import (
+    POISSON_SWITCH,
+    ROW_SCALE_EXPONENT,
     _log_sinh_ratio,
     _sinh_ratio,
     heat_kernel_grid,
+    kernel_geometry,
     pair_displacement,
 )
 
@@ -145,16 +148,62 @@ def test_heat_kernel_grid_allocates_one_block(manifold):
 def test_heat_kernel_grid_in_place_matches_its_formula():
     # the block is exp of one bilinear form: a(u) d^2 + b(u) with
     # a = -1/(4u), b = -(3/2) log(4 pi u), plus -u/a^2 and log(rho/sinh rho)
-    # on Hyperbolic3
-    u = np.geomspace(1e-4, 30.0, 36)[:, None]
+    # on Hyperbolic3; on rows where b exceeds ROW_SCALE_EXPONENT (u below
+    # about 1e-4), (4 pi u)^{-3/2} is a row factor instead
     d = np.linspace(0.0, 4.0, 50)
     a = 1.3
-    a_u, b_u, ones = -0.25 / u, -1.5 * np.log(4.0 * math.pi * u), np.ones_like(d)
-    euclid = np.exp(np.hstack([a_u, b_u]) @ np.vstack([d**2, ones]))
-    hyperbolic = np.exp(np.hstack([a_u, b_u - u / a**2, np.ones_like(u)])
-                        @ np.vstack([d**2, ones, np.log(_sinh_ratio(d / a))]))
-    np.testing.assert_array_equal(heat_kernel_grid(Euclidean3(), u[:, 0], d), euclid)
-    np.testing.assert_array_equal(heat_kernel_grid(Hyperbolic3(a), u[:, 0], d), hyperbolic)
+    ones = np.ones_like(d)
+    for lo, hi in ((1e-3, 30.0), (1e-24, 1e-3)):
+        u = np.geomspace(lo, hi, 36)[:, None]
+        a_u, b_u = -0.25 / u, -1.5 * np.log(4.0 * math.pi * u)
+        scaled = b_u > ROW_SCALE_EXPONENT
+        assert scaled.any() == scaled[0, 0] == (lo < 1e-4) and not scaled[-1, 0]
+        scale = np.where(scaled, (4.0 * math.pi * u) ** -1.5, 1.0)
+        b_u = np.where(scaled, 0.0, b_u)
+        euclid = np.exp(np.hstack([a_u, b_u]) @ np.vstack([d**2, ones])) * scale
+        hyperbolic = np.exp(np.hstack([a_u, b_u - u / a**2, np.ones_like(u)])
+                            @ np.vstack([d**2, ones, np.log(_sinh_ratio(d / a))])) * scale
+        np.testing.assert_array_equal(heat_kernel_grid(Euclidean3(), u[:, 0], d), euclid)
+        np.testing.assert_array_equal(heat_kernel_grid(Hyperbolic3(a), u[:, 0], d), hyperbolic)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_torus_grid_matches_product_of_circle_kernels(seed):
+    # image, mode and Euclidean rows in any u order, on prefixes of the
+    # geometry, against the product of circle kernels; an exponent x carries
+    # an error of about |x| ulps in either
+    t = FlatTorus3((4.0, 5.0, 6.0))
+    rng = np.random.default_rng(seed)
+    disp = pair_displacement(t, rng.uniform(0, 6, (60, 3)), rng.uniform(0, 6, (60, 3)))
+    disp = disp[np.argsort(np.linalg.norm(disp, axis=1))]
+    u = rng.permutation(np.geomspace(1e-5, 60.0, 120))
+    ref = np.ones((len(u), len(disp)))
+    for axis, L in enumerate(t.circumferences):
+        ref *= circle_heat_kernel(u[:, None], disp[:, axis], L)
+    geometry = kernel_geometry(t, disp)
+    for k in (60, 25, 3):
+        got, want = heat_kernel_grid(t, u, geometry[:k]), ref[:, :k]
+        tol = 8.0 * np.finfo(float).eps * (1.0 + np.abs(np.log(np.maximum(want, 1e-300))))
+        assert np.all(np.abs(got - want) <= tol * want + 1e-280)
+    np.testing.assert_array_equal(heat_kernel_grid(t, u, disp), heat_kernel_grid(t, u, geometry))
+
+
+def test_straddling_torus_call_holds_at_most_three_blocks():
+    # a heat-trace panel on a prebuilt geometry: the block, one axis factor
+    # and one image term, with no masks over the block
+    t = FlatTorus3((4.0, 5.0, 6.0))
+    u = np.geomspace(1e-3, 10.0, 36)
+    assert all(u[0] < POISSON_SWITCH * L**2 < u[-1] for L in t.circumferences)
+    disp = np.random.default_rng(3).uniform(-3.0, 3.0, (4352, 3))
+    geometry = kernel_geometry(t, disp)
+    heat_kernel_grid(t, u, geometry)
+    tracemalloc.start()
+    try:
+        heat_kernel_grid(t, u, geometry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * u.size * len(disp) * 8
 
 
 def test_heat_kernel_grid_matches_scalar():

@@ -14,7 +14,7 @@ from curvebound import (
     pair_kernel_plain,
     pair_kernel_renormalized,
 )
-from curvebound.quadrature import _erfcx
+from curvebound.quadrature import _erfcx, _g_tail
 
 EUCLID = Euclidean3()
 
@@ -201,3 +201,21 @@ def test_erfcx_matches_scipy():
     assert np.max(np.abs(_erfcx(x) - ref) / ref) <= 2e-15
     assert abs(float(_erfcx(0.0)) - 1.0) <= np.spacing(1.0)
     np.testing.assert_array_equal(_erfcx(x.reshape(2, -1)), _erfcx(x).reshape(2, -1))
+
+
+def test_g_tail_matches_references():
+    # 1/sqrt(pi) - z erfcx(z), the E < 0 derivative weight: against scipy's
+    # erfcx below z = 10, the subtraction in long double, and a 40-term
+    # asymptotic sum above
+    z = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 4001), [10.14]])
+    low = z < 10.0
+    ref = np.empty_like(z)
+    zl = z[low].astype(np.longdouble)
+    ref[low] = (1.0 / np.sqrt(np.longdouble(math.pi)) - zl * erfcx(z[low])).astype(float)
+    x = 1.0 / (2.0 * z[~low] ** 2)
+    term, total = x.copy(), np.zeros_like(x)
+    for n in range(1, 41):  # (-1)^(n+1) (2n-1)!! / (2 z^2)^n
+        total += term if n % 2 else -term
+        term = term * (2 * n + 1) * x
+    ref[~low] = total / math.sqrt(math.pi)
+    np.testing.assert_allclose(_g_tail(z), ref, rtol=1e-13, atol=0)

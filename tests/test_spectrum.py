@@ -157,3 +157,21 @@ def test_default_bracket_floor_lies_below_min_mu(mu):
     lo, hi = gs.bracket
     assert -1.0 < lo < hi == mu
     assert gs.status == "no_bound_state_in_bracket"
+
+
+def test_ground_state_newton_takes_few_steps():
+    # three circles, two of them 0.05 apart: Newton on the exact slope
+    # v^T Phi'(E) v ends within 8 evaluations of Phi, and well inside the
+    # 1e-8 tolerance of the root that bisection to 1e-13 finds
+    fam = circle_family([0.05, 0.7], mus=[0.2, 0.2, 0.15])
+    gs = ground_state_energy(fam)
+    assert gs.status == "converged"
+    assert gs.iterations <= 8
+    a, b = gs.bracket
+    while b - a > 1e-13:
+        mid = 0.5 * (a + b)
+        if np.linalg.eigvalsh(assemble(fam, mid).entries)[0] > 0:
+            a = mid
+        else:
+            b = mid
+    assert abs(gs.E_gr - 0.5 * (a + b)) <= 1e-10
