@@ -93,30 +93,7 @@ def geodesic_distance(manifold: ManifoldSpec, x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# circle kernel (the torus building block and the rg counterterm kernel)
-
-
-def _circle_spectral(u, xi, L, terms):
-    """Mode sum, accurate for u >~ L^2/(4 pi).  u column, xi row."""
-    acc = np.ones(np.broadcast_shapes(u.shape, xi.shape))
-    term = np.empty(acc.shape)
-    for n in range(1, terms + 1):
-        acc += np.multiply(2.0 * np.exp(-4.0 * math.pi**2 * n**2 * u / L**2),
-                           np.cos(2.0 * math.pi * n * xi / L), out=term)
-    acc /= L
-    return acc
-
-
-def _circle_images(u, xi, L, radius):
-    """Gaussian image sum, accurate for u <~ L^2/(4 pi)."""
-    xi = _wrap(xi, L)
-    acc = np.zeros(np.broadcast_shapes(u.shape, xi.shape))
-    term = np.empty(acc.shape)
-    for k in range(-radius, radius + 1):
-        np.divide(-((xi + k * L) ** 2), 4.0 * u, out=term)
-        acc += np.exp(term, out=term)
-    acc /= np.sqrt(4.0 * math.pi * u)
-    return acc
+# series truncation
 
 
 # a Gaussian factor below e^-GAUSSIAN_TAIL (~4e-18) is negligible: circle
@@ -124,70 +101,14 @@ def _circle_images(u, xi, L, radius):
 # quadrature skips a pair below its boundary-layer floor
 GAUSSIAN_TAIL = 40.0
 
-# np.exp returns exactly +0.0 below about -745.13; the margin covers the
-# rounding of the exponent and of the wrapped separation
-EXP_UNDERFLOW = 750.0
-
 # the image/mode switch in units of L^2: the self-dual point where both sums
 # need the same number of terms
 POISSON_SWITCH = 1.0 / (4.0 * math.pi)
 
 
-def _image_radius(u_max, L, xi_max=None):
-    """Image radius K of a call with diffusion times <= u_max and |xi| <= xi_max.
-
-    The smallest K >= 1 with K(K+1) L^2 > 4 GAUSSIAN_TAIL u_max, so that with
-    |xi| <= L/2 image K+1 is below e^-GAUSSIAN_TAIL of image 0; at most 4
-    below the switch.  Capped at (sqrt(4 EXP_UNDERFLOW u_max) + xi_max)/L,
-    xi_max defaulting to L/2: the exponent of image k is at most
-    -(|k| L - xi_max)^2/(4 u_max), so every image beyond the cap is exactly
-    +0.0 and the radius may be 0.
-    """
-    xi_max = 0.5 * L if xi_max is None else xi_max
-    k = 1
-    while k * (k + 1) * L * L <= 4.0 * GAUSSIAN_TAIL * u_max:
-        k += 1
-    return min(k, int((math.sqrt(4.0 * EXP_UNDERFLOW * u_max) + xi_max) / L))
-
-
 def _mode_count(u_min, L):
     """Largest n with 4 pi^2 n^2 u_min / L^2 <= GAUSSIAN_TAIL; at most 3 at or above the switch."""
     return int(math.sqrt(GAUSSIAN_TAIL * L * L / (4.0 * math.pi**2 * u_min)))
-
-
-def circle_heat_kernel(u, xi, L):
-    """Heat kernel on a circle of circumference L at arc separation xi.
-
-    Broadcasts over array u and xi.  Switches between the spectral and the
-    Poisson-resummed image representation at u = POISSON_SWITCH * L^2, and
-    sums only the terms that can reach double precision on the call's
-    u-range, every dropped term below e^-GAUSSIAN_TAIL (~4e-18) of the
-    largest kept one, and no image that is +0.0 at every |xi| up to the
-    call's largest.  A call that straddles the switch is split, each side
-    truncated at the switch value.
-    """
-    if not L > 0:
-        raise DomainError("circumference must be positive")
-    u_arr = np.asarray(u, dtype=float)
-    xi_arr = np.asarray(xi, dtype=float)
-    if not np.all(u_arr > 0):
-        raise DomainError("diffusion time must be positive")
-    scalar = u_arr.ndim == 0 and xi_arr.ndim == 0
-    switch = POISSON_SWITCH * L**2
-    u_min, u_max = (u_arr.min(), u_arr.max()) if u_arr.size else (switch, switch)
-    # the wrapped separation is at most L/2 and, up to rounding, |xi|
-    xi_max = min(0.5 * L, float(np.abs(xi_arr).max(initial=0.0)))
-    if u_min >= switch:
-        out = _circle_spectral(u_arr, xi_arr, L, _mode_count(u_min, L))
-    elif u_max < switch:
-        out = _circle_images(u_arr, xi_arr, L, _image_radius(u_max, L, xi_max))
-    else:
-        u_b, xi_b = np.broadcast_arrays(u_arr, xi_arr)
-        out = np.empty(u_b.shape)
-        hi = u_b >= switch
-        out[hi] = _circle_spectral(u_b[hi], xi_b[hi], L, _mode_count(switch, L))
-        out[~hi] = _circle_images(u_b[~hi], xi_b[~hi], L, _image_radius(switch, L, xi_max))
-    return float(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +227,10 @@ ROW_SCALE_EXPONENT = 10.0
 # np.exp results below e^-708.4 are subnormal and take a slow path
 EXP_SUBNORMAL = 708.0
 
+# np.exp returns exactly +0.0 below about -745.13; the margin covers the
+# rounding of the exponent and of the wrapped separation
+EXP_UNDERFLOW = 750.0
+
 
 def _radial_block(u, rows, a=None, out=None):
     """exp(a(u) d^2 + b(u) (+ log(rho/sinh rho))), a = -1/(4u) and
@@ -329,60 +254,151 @@ def _radial_block(u, rows, a=None, out=None):
     return out
 
 
-def _image_sum(out, u, xi, L, radius):
-    """sum_{|k| <= radius} exp(-(xi + k L)^2/4u)/sqrt(4 pi u) into out.
+def _image_radii(u, x, L):
+    """Per-row image radius of an image sum over |xi| <= x: the images within
+    e^-GAUSSIAN_TAIL of image 0 at x, and none whose largest value is +0.0.
+    Image k is kept on a row iff k L <= x + sqrt(min(x^2 + 4 GAUSSIAN_TAIL u,
+    4 EXP_UNDERFLOW u)); ascending in u."""
+    return ((x + np.sqrt(np.minimum(x * x + 4.0 * GAUSSIAN_TAIL * u, 4.0 * EXP_UNDERFLOW * u)))
+            // L).astype(int)
 
-    radius is per row and ascending, so each image is one block of the last
-    rows.  An image term below e^-EXP_SUBNORMAL is evaluated as that bound,
-    off by less than 4e-308 and kept off the slow path of subnormal and
-    underflowing exp results.
+
+def _image_sum(out, u, xi, L, radius):
+    """sum_{|k| <= radius} exp(-(xi + k L)^2/4u)/sqrt(4 pi u) into out, from k = -radius up.
+
+    xi is one row of separations for every u, or a row per u.  radius is per
+    row and ascending, so each image is one block of the last rows.  Each
+    column of a row sums to at least image 0 at the row's largest |xi|.  On
+    the rows where that is above e^-(EXP_SUBNORMAL - GAUSSIAN_TAIL), an image
+    term below e^-EXP_SUBNORMAL is evaluated as that bound: off by less than
+    4e-308 and than 4e-18 of the column's sum, and kept off the slow path of
+    subnormal and underflowing exp results.  On the other rows (never those
+    of a pruned heat trace) every term is exact.
     """
+    per_row = xi.ndim == 2
     minus_four_u = -4.0 * u[:, None]
     sq = np.multiply(xi, xi)
-    np.divide(sq, minus_four_u, out=out)
-    np.exp(out, out=out)
+    floor = None  # the bound per row, once some row is summed exactly
+    if np.max(sq, initial=0.0) > 4.0 * (EXP_SUBNORMAL - GAUSSIAN_TAIL) * u.min():
+        deep = np.max(sq, axis=-1, initial=0.0) / -minus_four_u[:, 0]
+        floor = np.where(deep > EXP_SUBNORMAL - GAUSSIAN_TAIL, -np.inf, -EXP_SUBNORMAL)[:, None]
+
+    def image(k, a, into):
+        """Image k on the rows from a, into `into`."""
+        b = a + len(into)
+        s = sq[a:b] if per_row else sq
+        np.add(xi[a:b] if per_row else xi, k * L, out=s)
+        np.divide(np.multiply(s, s, out=s), minus_four_u[a:b], out=into)
+        if k:
+            np.maximum(into, -EXP_SUBNORMAL if floor is None else floor[a:b], out=into)
+        return np.exp(into, out=into)
+
     first = np.searchsorted(radius, np.arange(1, radius[-1] + 1)).tolist()  # image k's first row
-    term = np.empty_like(out[first[0]:]) if first else None
-    for k, lo in enumerate(first, 1):
-        t = term[lo - first[0]:]
-        for shift in (k * L, -k * L):
-            np.add(xi, shift, out=sq)
-            np.divide(np.multiply(sq, sq, out=sq), minus_four_u[lo:], out=t)
-            np.maximum(t, -EXP_SUBNORMAL, out=t)
-            out[lo:] += np.exp(t, out=t)
+    lo = first[0] if first else len(u)
+    image(0, 0, out[:lo])  # the rows that keep image 0 alone
+    if first:
+        term = np.empty_like(out[lo:])
+        out[lo:] = 0.0
+        for k in [*range(-len(first), 0), 0, *range(1, len(first) + 1)]:
+            row = first[abs(k) - 1] if k else lo
+            out[row:] += image(k, row, term[row - lo:])
     out /= np.sqrt(4.0 * math.pi * u)[:, None]
 
 
 def _mode_sum(out, u, cosines, L):
-    """(1/L) sum_n c_n(u) cos(2 pi n xi/L) into out: one (nu x (N+1)) @ ((N+1) x npairs)
-    product, c_0 = 1 and c_n = 2 exp(-4 pi^2 n^2 u/L^2) where that is above
-    e^-GAUSSIAN_TAIL, else 0."""
+    """(1/L) (1 + sum_n c_n(u) cos(2 pi n xi/L)) into out, from n = 1, with
+    c_n = 2 exp(-4 pi^2 n^2 u/L^2) on the rows where that is above
+    e^-GAUSSIAN_TAIL.  u is ascending, so those rows are a prefix;
+    cosines[n] is cos(2 pi n xi/L) on one row of separations for every u,
+    or on a row per u (at least for the rows that keep mode 1)."""
     n = np.arange(1, cosines.shape[0])
     expo = np.multiply.outer(u, -4.0 * math.pi**2 * n**2) / L**2
-    coef = np.zeros((len(u), cosines.shape[0]))
-    coef[:, 0] = 0.5
-    np.exp(expo, out=coef[:, 1:], where=expo >= -GAUSSIAN_TAIL)
-    coef *= 2.0 / L
-    np.matmul(coef, cosines, out=out)
+    live = np.sum(expo >= -GAUSSIAN_TAIL, axis=0).tolist()  # rows that keep mode n
+    rows = live[0] if live else 0
+    coef = np.zeros(expo.shape)
+    np.exp(expo, out=coef, where=expo >= -GAUSSIAN_TAIL)
+    coef *= 2.0
+    out[rows:] = 1.0 / L
+    out[:rows] = 1.0
+    term = np.empty_like(out[:rows])
+    for k, rows_k in enumerate(live):
+        t, c = term[:rows_k], cosines[k + 1]
+        t[...] = c[:rows_k] if c.ndim == 2 else c  # a row copy and a column product
+        t *= coef[:rows_k, k, None]  # are faster than one broadcast product
+        out[:rows_k] += t
+    out[:rows] /= L
+
+
+def circle_heat_kernel(u, xi, L):
+    """Heat kernel on a circle of circumference L at arc separation xi.
+
+    Broadcasts over array u and xi.  The broadcast is a block with a row per
+    u along its last axis (one row of separations for every u where xi
+    varies along the last axis alone): rows at or above u = POISSON_SWITCH *
+    L^2 are a mode sum (_mode_sum), the others an image sum (_image_sum)
+    whose radius is per row (_image_radii at the row's largest |xi|).
+    Every dropped term is below e^-GAUSSIAN_TAIL (~4e-18) of the largest
+    kept one, and an image sum keeps no image that is +0.0 at every column.
+    """
+    if not L > 0:
+        raise DomainError("circumference must be positive")
+    u_arr = np.asarray(u, dtype=float)
+    xi_arr = np.asarray(xi, dtype=float)
+    if not np.all(u_arr > 0):
+        raise DomainError("diffusion time must be positive")
+    shape = np.broadcast_shapes(u_arr.shape, xi_arr.shape)
+    if u_arr.ndim and u_arr.shape[-1] > 1:  # u varies along the last axis: a row per element
+        u_rows = np.broadcast_to(u_arr, shape).reshape(-1)
+        xi_rows = np.broadcast_to(xi_arr, shape).reshape(-1, 1)
+    else:
+        u_rows = np.broadcast_to(u_arr, shape[:-1] + (1,)).reshape(-1)
+        if all(d == 1 for d in xi_arr.shape[:-1]):  # one row of separations for every u
+            xi_rows = np.broadcast_to(xi_arr.reshape(-1), shape[-1:] or (1,))
+        else:
+            xi_rows = np.broadcast_to(xi_arr, shape).reshape(len(u_rows), shape[-1])
+    per_row = xi_rows.ndim == 2
+    mode = u_rows >= POISSON_SWITCH * L * L
+    out = np.empty((len(u_rows), xi_rows.shape[-1]))
+    rows = np.flatnonzero(~mode)
+    if len(rows):
+        wrapped = _wrap(xi_rows[rows] if per_row else xi_rows, L)
+        # the wrapped separation is at most L/2 and, up to rounding, |xi|
+        x = np.minimum(0.5 * L, np.max(np.abs(wrapped), axis=-1, initial=0.0))
+        radius = _image_radii(u_rows[rows], x, L)
+        by = np.argsort(radius, kind="stable")
+        part = np.empty((len(rows), out.shape[1]))
+        _image_sum(part, u_rows[rows[by]], wrapped[by] if per_row else wrapped, L, radius[by])
+        out[rows[by]] = part
+    rows = np.flatnonzero(mode)
+    if len(rows):
+        rows = rows[np.argsort(u_rows[rows], kind="stable")]
+        v = u_rows[rows]
+        # per-row cosines only where mode 1 is live: _mode_sum reads no others
+        live = int(np.count_nonzero(v * (-4.0 * math.pi**2) / L**2 >= -GAUSSIAN_TAIL))
+        n = 2.0 * math.pi * np.arange(_mode_count(POISSON_SWITCH, 1.0) + 1)
+        cosines = np.multiply.outer(n, xi_rows[rows[:live]] if per_row else xi_rows)
+        cosines /= L
+        part = np.empty((len(rows), out.shape[1]))
+        _mode_sum(part, v, np.cos(cosines, out=cosines), L)
+        out[rows] = part
+    out = out.reshape(shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _torus_block(ls, u, g: KernelGeometry):
     """FlatTorus3 kernel block: a product of circle kernels, one per axis.
 
     Per axis, the rows at or above the Poisson switch are a mode sum and the
-    others an image sum whose radius is per row: the images within
-    e^-GAUSSIAN_TAIL of image 0 at the largest |xi|, x, and none whose
-    largest value is below the smallest normal double.  Image k is kept on a
-    row iff k L <= x + sqrt(min(x^2 + 4 GAUSSIAN_TAIL u, 4 EXP_SUBNORMAL u)).
-    Rows on which every axis keeps image 0 alone are the Euclidean block on
-    |xi|^2.
+    others an image sum whose radius is per row (_image_radii at the
+    largest |xi|, x).  Rows on which every axis keeps image 0 alone are the
+    Euclidean block on |xi|^2.
     """
     out = np.empty((u.shape[0], g.shape[0]))
     if not out.size:
         return out
     x = g.xi_max[:, -1].tolist()
     flat = min(min(POISSON_SWITCH * L * L, max(L * (L - 2.0 * xj) / (4.0 * GAUSSIAN_TAIL),
-                                                (L - xj) ** 2 / (4.0 * EXP_SUBNORMAL)))
+                                                (L - xj) ** 2 / (4.0 * EXP_UNDERFLOW)))
                for L, xj in zip(ls, x))
     if u.max() < flat:
         return _radial_block(u, g.rows, out=out)
@@ -399,9 +415,7 @@ def _torus_block(ls, u, g: KernelGeometry):
         m = max(flat, int(np.searchsorted(u, POISSON_SWITCH * L * L)))
         if m > flat:
             v = u[flat:m]
-            radius = (xj + np.sqrt(np.minimum(xj * xj + 4.0 * GAUSSIAN_TAIL * v,
-                                              4.0 * EXP_SUBNORMAL * v))) // L
-            _image_sum(factor[:m - flat], v, g.xi[axis], L, radius.astype(int))
+            _image_sum(factor[:m - flat], v, g.xi[axis], L, _image_radii(v, xj, L))
         if m < len(u):
             _mode_sum(factor[m - flat:], u[m:], g.cosines[axis], L)
         if axis:

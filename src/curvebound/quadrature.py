@@ -30,6 +30,14 @@ pair's floor, and a pair at distance d enters the sum only on the panels
 that reach above its own floor d^2/160.  A trace appends panels when an
 energy needs a longer ladder, and each integral contracts exactly the
 ladder of its own energies.
+
+On Euclidean3 and Hyperbolic3 a large-u panel needs far fewer than all the
+pairs: once every pair is active and the d^2 range [D0, D1] meets
+D1 - D0 <= PROXY_SPREAD a on a panel [a, b], e^{-d^2/4u} is within 1.1e-17
+relative of its interpolant at the PROXY_NODES = 16 Chebyshev points of
+[D0, D1], so T(u) is the kernel at 16 proxy pairs times fixed coefficients
+(the separable expansion of the fast Gauss transform).  FlatTorus3 traces
+and the counterterm's circle-kernel traces evaluate every active pair.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from .manifolds import (
     GAUSSIAN_TAIL,
     DomainError,
     Euclidean3,
+    KernelGeometry,
     ManifoldSpec,
     displacement_distance,
     heat_kernel_grid,
@@ -56,6 +65,21 @@ _SQRT_PI = math.sqrt(math.pi)
 # e^{-d^2/4u} < e^-GAUSSIAN_TAIL for u < d^2/BOUNDARY_LAYER: a pair at
 # distance d is negligible below that floor
 BOUNDARY_LAYER = 4.0 * GAUSSIAN_TAIL
+
+# Proxy panels.  A radial kernel depends on a pair through e^{h(d)} e^{-x/4u},
+# x = d^2 (h = log(rho/sinh rho) on Hyperbolic3, else 0).  For u >= a,
+# f(x) = e^{-x/4u} is entire, and its interpolant at the PROXY_NODES = n
+# Chebyshev points of the first kind on the pairs' range [D0, D1] is off by at
+# most 2^{1-n} ((D1 - D0)/2)^n max|f^(n)|/n! (Trefethen, Approximation Theory
+# and Approximation Practice, SIAM 2013, ch. 11 and 15).  Relative to a pair's
+# own e^{-x/4u} >= e^{-D1/4u}, and with z = (D1 - D0)/(8u), that is at most
+# 2 (z/2)^n/n! e^{2z}: below 1.1e-17 for n = 16 wherever
+# D1 - D0 <= PROXY_SPREAD a, so z <= 1.  On such a panel the sum over all
+# pairs is the kernel at n proxy pairs times fixed coefficients, the
+# separable expansion of the fast Gauss transform (Greengard and Strain,
+# SIAM J. Sci. Stat. Comput. 12, 1991).
+PROXY_NODES = 16
+PROXY_SPREAD = 8.0
 
 
 @dataclass(frozen=True)
@@ -252,6 +276,32 @@ def u_panel_breaks(d_min, m, e_max, cfg: QuadratureConfig):
     return u_floor * cfg.panel_ratio ** np.arange(n_panels + 1)
 
 
+def _chebyshev_proxies(geometry: KernelGeometry, coeffs):
+    """(proxies, W): PROXY_NODES proxy pairs at the Chebyshev points of the
+    d^2 range of a radial geometry (its columns sorted by d^2), and the
+    (PROXY_NODES x columns) coefficients that carry every pair's coefficients
+    onto them.
+
+    W = Lambda (c e^h), with Lambda[k, p] the barycentric Lagrange basis
+    function of proxy k at pair p's d^2 and h the Hyperbolic3
+    log(rho/sinh rho) row, folded in; the proxies carry h = 0.
+    """
+    rows = geometry.rows
+    lo, hi = rows[0, 0], rows[0, -1]
+    angle = (2.0 * np.arange(PROXY_NODES) + 1.0) * (math.pi / (2.0 * PROXY_NODES))
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(angle)
+    diff = rows[0] - nodes[:, None]
+    exact = diff == 0.0
+    diff[exact] = 1.0
+    basis = (np.where(np.arange(PROXY_NODES) % 2, -1.0, 1.0) * np.sin(angle))[:, None] / diff
+    hit = exact.any(axis=0)
+    basis[:, hit] = exact[:, hit]
+    basis /= basis.sum(axis=0)
+    proxies = np.zeros((len(rows), PROXY_NODES))
+    proxies[0], proxies[1] = nodes, 1.0
+    return KernelGeometry(proxies), basis @ (coeffs * np.exp(rows[2:].sum(axis=0))[:, None])
+
+
 class _HeatTrace:
     """Energy-independent heat trace T(u) = sum_p c_p K_u(disp_p) of one entry.
 
@@ -269,6 +319,12 @@ class _HeatTrace:
     Hyperbolic3 (rho/sinh rho <= 1, e^{-u/a^2} <= 1), and on FlatTorus3 a
     sum of such Euclidean terms over images that are each at least as far
     as the minimum image d (two per axis come near d while u < L_j^2/(4 pi)).
+
+    A radial trace (a KernelGeometry without torus axes) of more than
+    PROXY_NODES pairs whose d^2 range [D0, D1] is not a point evaluates a
+    panel [a, b] that takes all pairs and meets D1 - D0 <= PROXY_SPREAD a on
+    its PROXY_NODES proxy pairs: kernel(u, proxies) @ W, built once, on the
+    first such panel (see PROXY_NODES for the error bound).
 
     The ladder grows on demand: rules(m, e_max) evaluates only the panels
     that the ladder for e_max has beyond those already held, and returns
@@ -291,15 +347,24 @@ class _HeatTrace:
         self._orders = (cfg.u_nodes, max(8, cfg.u_nodes // 2))
         self._panels = []  # ((u, w, T) full, (u, w, T) half) of each held panel
         self._rules = {}  # panel count -> the rules() of that ladder
+        self._proxies = None  # (proxies, W) once a panel has used them
 
-    def _panel(self, nodes, k):
-        """((u, w, T) full, (u, w, T) half) of one panel from a single kernel
-        call over both rules' nodes, nodes = [(u, w) full, (u, w) half], and
-        the k closest pairs."""
+    def _panel(self, nodes, k, a):
+        """((u, w, T) full, (u, w, T) half) of one panel from a, from a single
+        kernel call over both rules' nodes, nodes = [(u, w) full, (u, w) half],
+        and the k closest pairs (or their proxies)."""
         (u_full, w_full), (u_half, w_half) = nodes
         if self._geometry is not None:
             self._disp, self._geometry = self._geometry(self._disp), None
-        trace = self._kernel(np.concatenate([u_full, u_half]), self._disp[:k]) @ self._coeffs[:k]
+        u, g, d2 = np.concatenate([u_full, u_half]), self._disp, self._d2
+        if (isinstance(g, KernelGeometry) and g.xi is None and k == len(d2) > PROXY_NODES
+                and 0.0 < d2[-1] - d2[0] <= PROXY_SPREAD * a):
+            if self._proxies is None:
+                self._proxies = _chebyshev_proxies(g, self._coeffs)
+            proxies, coeffs = self._proxies
+            trace = self._kernel(u, proxies) @ coeffs
+        else:
+            trace = self._kernel(u, g[:k]) @ self._coeffs[:k]
         n = len(u_full)
         return (u_full, w_full, trace[:n]), (u_half, w_half, trace[n:])
 
@@ -310,15 +375,19 @@ class _HeatTrace:
         n = len(breaks) - 1
         if n not in self._rules:
             held = len(self._panels)
-            active = np.searchsorted(self._d2, BOUNDARY_LAYER * breaks[held + 1:]).tolist()
-            for a, b, k in zip(breaks[held:-1], breaks[held + 1:], active):
-                self._panels.append(self._panel([_panel_nodes(a, b, q) for q in self._orders], k))
+            a, b = breaks[held:-1], breaks[held + 1:]
+            active = np.searchsorted(self._d2, BOUNDARY_LAYER * b).tolist()
+            # the (u, w) of every new panel per rule order, a row per panel
+            mid, half = (0.5 * (a + b))[:, None], (0.5 * (b - a))[:, None]
+            nodes = [(mid + half * x, half * w) for x, w in map(_leggauss, self._orders)]
+            for p, (lo, k) in enumerate(zip(a.tolist(), active)):
+                self._panels.append(self._panel([(u[p], w[p]) for u, w in nodes], k, lo))
             ladder = self._panels[:n]
             if self._tail:
                 u_top = breaks[-1]
                 tail = [(u_top / s**2, w * 2.0 * u_top / s**3)
                         for s, w in (_panel_nodes(0.0, 1.0, q) for q in self._orders)]
-                ladder = ladder + [self._panel(tail, len(self._d2))]
+                ladder = ladder + [self._panel(tail, len(self._d2), u_top)]
             self._rules[n] = [tuple(np.concatenate(x) for x in zip(*panels))
                               for panels in zip(*ladder)]
         return self._rules[n]

@@ -46,16 +46,20 @@ from curvebound import (
     resample_arclength,
     spectral_flow,
 )
-from curvebound import principal
-from curvebound.manifolds import circle_heat_kernel, heat_kernel_grid
+from curvebound import principal, quadrature
+from curvebound.manifolds import circle_heat_kernel, displacement_distance, heat_kernel_grid
 from curvebound.principal import _counterterm_weight, _inner_grid, _trace_store
 from curvebound.quadrature import (
     BOUNDARY_LAYER,
     DEFAULT_QUADRATURE,
+    PROXY_NODES,
+    PROXY_SPREAD,
+    _leggauss,
     u_panel_breaks,
     weight_plain,
     weight_renormalized,
 )
+from curvebound.rgflow import beta
 
 from conftest import circle_family
 
@@ -350,14 +354,73 @@ def test_assemble_then_derivative_evaluates_each_kernel_node_once(kernel_counter
     family, E = _polyline_family(), -0.6
     assemble(family, E)
     derivative_matrix(family, E)
-    # one diagonal trace: every pair on each full- and half-rule node of the
-    # panels above its own floor, on the ladder both calls need
+    # one diagonal trace, on the ladder both calls need: on each panel, every
+    # full- and half-rule node times the pairs above their own floor, or times
+    # PROXY_NODES where all pairs are active and D1 - D0 <= PROXY_SPREAD a
     cfg = DEFAULT_QUADRATURE
     d = np.sort(_diagonal_pairs(family.curves[0], EUCLID)[0])
+    d2 = d * d
     breaks = u_panel_breaks(float(d[0]), 1.0, max(abs(E), abs(family.mu[0])), cfg)
     nodes = cfg.u_nodes + max(8, cfg.u_nodes // 2)
-    assert kernel_counter[0] == sum(nodes * int(np.searchsorted(d * d, BOUNDARY_LAYER * b))
-                                    for b in breaks[1:])
+    expected, proxy_panels = 0, 0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        k = int(np.searchsorted(d2, BOUNDARY_LAYER * b))
+        proxy = k == len(d2) and d2[-1] - d2[0] <= PROXY_SPREAD * a
+        proxy_panels += proxy
+        expected += nodes * (PROXY_NODES if proxy else k)
+    assert 0 < proxy_panels < len(breaks) - 1
+    assert kernel_counter[0] == expected
+
+
+PROXY_CASES = {
+    "polyline_diagonal": (_polyline_family, EUCLID, (0, 0)),
+    "circle_offdiagonal": (lambda: circle_family([0.05], mus=[-0.2, -0.3]), EUCLID, (0, 1)),
+    "hyperbolic_pair": (PRUNING_CASES["hyperbolic_pair"][0], Hyperbolic3(1.2), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROXY_CASES))
+def test_proxy_panel_matches_all_pairs_at_the_threshold(name, kernel_counter):
+    # the first panel that may take the proxies, z = (D1 - D0)/(8a) = 1 at
+    # u = a: every column (the diagonal's band column too) within 1e-14 of the
+    # sum over all pairs, from one kernel call on PROXY_NODES pairs
+    make, manifold, (i, j) = PROXY_CASES[name]
+    family = make()
+    ci, cj = family.curves[i], family.curves[j]
+    disp, coeffs = (_diagonal_pairs(ci, manifold) if i == j
+                    else _offdiagonal_pairs(ci, cj, manifold))
+    d2 = displacement_distance(manifold, disp) ** 2
+    a = (d2.max() - d2.min()) / PROXY_SPREAD
+    full, half = ((a + 1.5 * a * (x + 1.0), 1.5 * a * w) for x, w in map(_leggauss, (24, 12)))
+    full = (np.concatenate([[a], full[0]]), np.concatenate([[0.0], full[1]]))
+    trace = _trace_store(family, manifold, DEFAULT_QUADRATURE).traces[i, j]
+    got = trace._panel([full, half], len(d2), a)
+    assert kernel_counter == [PROXY_NODES * (len(full[0]) + len(half[0])), 1]
+    for (u, _), (_, _, t) in zip([full, half], got):
+        ref = heat_kernel_grid(manifold, u, disp) @ coeffs.T
+        assert np.all(np.abs(t - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_torus_and_counterterm_traces_take_no_proxies(monkeypatch):
+    built = []
+    original = quadrature._chebyshev_proxies
+
+    def counted(geometry, coeffs):
+        built.append(geometry)
+        return original(geometry, coeffs)
+
+    monkeypatch.setattr(quadrature, "_chebyshev_proxies", counted)
+    torus = _trace_store(_torus_loop_family(), TORUS, DEFAULT_QUADRATURE)
+    rg = _trace_store(circle_family([1.0]), EUCLID, DEFAULT_QUADRATURE)
+    for e_max in (0.3, 0.99):  # ladders out to u ~ 2300
+        for trace in [*torus.traces.values(), rg.counterterm(0), rg.counterterm(1)]:
+            trace.rules(1.0, e_max)
+    assert built == []
+    # the Euclidean traces of the same family build theirs once
+    for e_max in (0.3, 0.99):
+        for trace in rg.traces.values():
+            trace.rules(1.0, e_max)
+    assert len(built) == len(rg.traces) == 3
 
 
 def test_assemble_at_the_ground_state_evaluates_no_kernel(kernel_counter):
@@ -517,11 +580,10 @@ def test_rg_pair_matches_a_long_double_kernel(monkeypatch):
     assert np.max(np.abs(got - ref)) <= 5e-15 * np.max(np.abs(ref))
 
 
-def test_torus_traces_make_no_subnormal_exp(monkeypatch):
-    # a subnormal exp result takes a slow path, ~100 times a normal one; torus
-    # traces like the benchmark's (an axis loop and a tilted circle on a torus
-    # of side ~5) make none
-    results = [0, 0]  # [all, subnormal]
+@pytest.fixture
+def exp_counter(monkeypatch):
+    """[results, subnormal results] of np.exp in manifolds."""
+    results = [0, 0]
 
     def exp(*args, **kwargs):
         out = np.exp(*args, **kwargs)
@@ -533,13 +595,33 @@ def test_torus_traces_make_no_subnormal_exp(monkeypatch):
     counting.__getattr__ = lambda name: getattr(np, name)
     counting.exp = exp
     monkeypatch.setattr(curvebound.manifolds, "np", counting)
+    return results
+
+
+def test_torus_traces_make_no_subnormal_exp(exp_counter):
+    # a subnormal exp result takes a slow path, ~100 times a normal one; torus
+    # traces like the benchmark's (an axis loop and a tilted circle on a torus
+    # of side ~5) make none
     torus = FlatTorus3((4.7, 5.1, 5.3))
     for shape in (TorusLoop((0, 1, 0), (1.2, 0.4, 3.1)),
                   Circle((2.0, 2.5, 1.5), 0.9, (0.3, -0.5, 0.8))):
         family = family_geometry([resample_arclength(shape, 64, torus)], torus, [-0.35])
         spectral_flow(family, [-0.8, -0.65, -0.5], manifold=torus)
-    assert results[0] > 0
-    assert results[1] == 0
+    assert exp_counter[0] > 0
+    assert exp_counter[1] == 0
+
+
+@pytest.mark.parametrize("call", ["beta", "rg_assemble"])
+def test_circle_kernel_calls_make_no_subnormal_exp(exp_counter, call):
+    # the circle kernel of beta and of the RGScale counterterm traces sums
+    # images with a per-row radius; a radius per call made 1038 and 620
+    # subnormal results here
+    if call == "beta":
+        beta(1.0)
+    else:
+        assemble(circle_family([1.0]), -0.5, RGScale(mu=0.5, lambda_R=100.0))
+    assert exp_counter[0] > 0
+    assert exp_counter[1] == 0
 
 
 def test_trace_panels_reuse_the_kernel_geometry(monkeypatch):

@@ -88,14 +88,17 @@ def test_circle_kernel_constant_mode():
 
 
 def test_circle_kernel_poisson_duality():
-    from curvebound.manifolds import _circle_images, _circle_spectral
+    # the mode sum (every mode above e^-GAUSSIAN_TAIL of 12) and the image
+    # sum (radius 12) agree at a u where both converge
+    from curvebound.manifolds import _image_sum, _mode_sum
 
     L = 2.0 * math.pi
     u = np.array([L**2 / (4.0 * math.pi**2)])
     xi = np.array([L / 3.0])
-    a = float(_circle_spectral(u, xi, L, 12)[0])
-    b = float(_circle_images(u, xi, L, 12)[0])
-    assert abs(a - b) / a < 1e-12
+    a, b = np.empty((1, 1)), np.empty((1, 1))
+    _mode_sum(a, u, np.cos(2.0 * math.pi * np.arange(13)[:, None] * xi / L), L)
+    _image_sum(b, u, xi, L, np.array([12]))
+    assert abs(a[0, 0] - b[0, 0]) / a[0, 0] < 1e-12
 
 
 @pytest.mark.parametrize("u_frac", [0.01, 1.0, 100.0])
@@ -296,38 +299,45 @@ def test_circle_kernel_truncation_matches_full_series(L):
 @pytest.mark.parametrize("L", [0.7, 1.0, 2.0 * math.pi, 5.0, 100.0])
 def test_circle_series_lengths_stay_short(L):
     # why the kernel needs no truncation caps: over u in [1e-12, 1e2] L^2 no
-    # call sums more than 4 images below the switch or 3 modes at or above it
-    from curvebound.manifolds import POISSON_SWITCH, _image_radius, _mode_count
+    # row sums more than 4 images below the switch or 3 modes at or above it
+    from curvebound.manifolds import POISSON_SWITCH, _image_radii, _mode_count
 
     u = L**2 * np.logspace(-12.0, 2.0, 1401)
     switch = POISSON_SWITCH * L**2
     below, above = u[u < switch], u[u >= switch]
     assert len(below) and len(above)
-    assert max(_image_radius(float(v), L) for v in below) <= 4
+    assert np.max(_image_radii(below, 0.5 * L, L)) <= 4
     assert max(_mode_count(float(v), L) for v in above) <= 3
-    assert _image_radius(switch, L) <= 4 and _mode_count(switch, L) <= 3
+    assert _image_radii(np.array([switch]), 0.5 * L, L)[0] <= 4 and _mode_count(switch, L) <= 3
 
 
 @pytest.mark.parametrize("L", [0.7, 1.0, 2.0 * math.pi, 5.0])
 def test_images_beyond_the_underflow_cap_are_exact_zeros(L):
-    # on a panel u in [u_max/4, u_max], the sum to the capped radius equals
-    # the radius-4 sum bit for bit, down to radius 0
-    from curvebound.manifolds import _circle_images, _image_radius
+    # on a panel u in [u_max/4, u_max], each image beyond a row's radius is
+    # below e^-GAUSSIAN_TAIL of image 0 at the largest |xi|, x, and exactly
+    # +0.0 at every |xi| <= x where the underflow cap sets the radius; the
+    # radius goes down to 0
+    from curvebound.manifolds import EXP_UNDERFLOW, GAUSSIAN_TAIL, _image_radii
 
     xi = np.linspace(-0.5 * L, 0.5 * L, 201)
-    radii = set()
+    radii, capped = set(), 0
     for u_max in L**2 * np.geomspace(1e-5, 2e-2, 40):
-        for xi_max in (0.5 * L, 0.1 * L, 0.0):
-            row = xi[np.abs(xi) <= xi_max]
-            radius = _image_radius(u_max, L, xi_max)
-            radii.add(radius)
-            u = np.geomspace(0.25 * u_max, u_max, 12)[:, None]
-            np.testing.assert_array_equal(_circle_images(u, row, L, radius),
-                                          _circle_images(u, row, L, 4))
-    assert 0 in radii and 1 in radii
-    u = np.geomspace(1e-6, 8e-5, 12)[:, None] * L**2  # the cap is 0 up to u = L^2/12000
-    assert _image_radius(float(u[-1, 0]), L) == 0
-    np.testing.assert_array_equal(_circle_images(u, xi, L, 0), _circle_images(u, xi, L, 4))
+        u = np.geomspace(0.25 * u_max, u_max, 12)
+        for x in (0.5 * L, 0.1 * L, 0.0):
+            row = xi[np.abs(xi) <= x]
+            radius = _image_radii(u, x, L)
+            radii.update(radius.tolist())
+            for v, r in zip(u, radius.tolist()):
+                cap = x * x + 4.0 * GAUSSIAN_TAIL * v > 4.0 * EXP_UNDERFLOW * v
+                capped += cap
+                for k in range(r + 1, 8):
+                    for image in (row + k * L, row - k * L):
+                        dropped = np.exp(-(image**2) / (4.0 * v))
+                        assert np.all(dropped <= math.exp(-GAUSSIAN_TAIL - x * x / (4.0 * v)))
+                        assert not cap or not np.any(dropped)
+    assert 0 in radii and 1 in radii and capped
+    u = np.geomspace(1e-6, 8e-5, 12) * L**2  # the cap is 0 up to u = L^2/12000
+    assert np.max(_image_radii(u, 0.5 * L, L)) == 0
 
 
 def test_hyperbolic_kernel_far_apart_raises_no_warning():

@@ -65,8 +65,9 @@ def test_two_circle_binding(pair_family_d10, pair_family_d30):
     assert g10.status == "converged" and g30.status == "converged"
     assert g10.E_gr < 0
     assert abs(g30.E_gr) < abs(g10.E_gr)
-    # regression pin for the d_min=10 level (bisection tolerance 1e-8)
-    assert g10.E_gr == pytest.approx(-2.5119044397e-06, abs=1e-7)
+    # regression pin for the d_min=10 level: the root that Newton and
+    # bisection to 1e-15 agree on
+    assert g10.E_gr == pytest.approx(-2.5211383094e-06, abs=1e-12)
 
 
 def test_two_circle_eigenvectors(pair_family_d10):
