@@ -20,6 +20,7 @@ import numpy as np
 
 from .curves import CurveFamily
 from .manifolds import DomainError
+from .quadrature import check_energy_window
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,9 @@ class BoundConstants:
     V: float = math.inf  # manifold volume; inf drops the F-term
 
     def __post_init__(self):
-        if min(self.A, self.B, self.C, self.D, self.F) <= 0 or self.V <= 0:
-            raise DomainError("bound constants must be positive")
+        finite = (self.A, self.B, self.C, self.D, self.F)
+        if not all(0 < c < math.inf for c in finite) or not self.V > 0:
+            raise DomainError("bound constants must be positive, and A..F finite")
 
 
 def euclidean_constants() -> BoundConstants:
@@ -42,14 +44,6 @@ def euclidean_constants() -> BoundConstants:
 
 def _sgn(x):
     return 0.0 if x == 0 else math.copysign(1.0, x)
-
-
-def _check_subthreshold(m, *energies):
-    if m <= 0:
-        raise DomainError("mass must be positive")
-    for e in energies:
-        if not -m < e < m:
-            raise DomainError(f"energy argument {e} outside (-{m}, {m})")
 
 
 def near_diagonal_envelope(E, mu, m, constants: BoundConstants = BoundConstants(),
@@ -62,7 +56,7 @@ def near_diagonal_envelope(E, mu, m, constants: BoundConstants = BoundConstants(
     Vanishes at E = mu; grows like (1 - kappa* delta)^{-1/2} toward a fully
     curved window.
     """
-    _check_subthreshold(m, E, mu)
+    check_energy_window(m, E, mu)
     if not 0.0 <= kappa_delta < 1.0:
         raise DomainError("kappa* delta must lie in [0, 1)")
     qe, qm = m * m - E * E, m * m - mu * mu
@@ -89,10 +83,10 @@ def diagonal_lower_bound(E, mu_min, m, L_min, constants: BoundConstants = BoundC
     (A sqrt(D) / 8 pi^2) [ (1 - (pi/2) e^{-m L_min / 2 sqrt(D)}) log((m-E)/(m-mu_min))
         + (m/E) log(m/(m-E)) - (m/mu_min) log(m/(m-mu_min)) ]
     """
-    _check_subthreshold(m, E, mu_min)
+    check_energy_window(m, E, mu_min)
     if not E < mu_min:
         raise DomainError("lower bound needs E < mu_min")
-    if L_min <= 0:
+    if not L_min > 0:
         raise DomainError("L_min must be positive")
     gap_term = (1.0 - 0.5 * math.pi * math.exp(-m * L_min / (2.0 * math.sqrt(constants.D)))) * math.log(
         (m - E) / (m - mu_min)
@@ -103,10 +97,10 @@ def diagonal_lower_bound(E, mu_min, m, L_min, constants: BoundConstants = BoundC
 
 def offdiagonal_upper_bound(E, m, d_min, L_max, constants: BoundConstants = BoundConstants()) -> float:
     """Upper bound on |Phi_ij|, i != j; decreasing in d_min, pole at E = m."""
-    _check_subthreshold(m, E)
-    if d_min <= 0:
+    check_energy_window(m, E)
+    if not d_min > 0:
         raise DomainError("d_min must be positive")
-    if L_max <= 0:
+    if not L_max > 0:
         raise DomainError("L_max must be positive")
     V = constants.V
     sc = math.sqrt(constants.C)
@@ -136,8 +130,11 @@ def gersgorin_threshold(family: CurveFamily, constants: BoundConstants = BoundCo
 
     Solves diagonal_lower_bound(E) = (N-1) * offdiagonal_upper_bound(E) on
     (-m, mu_min), with m the family's mass and N its number of curves: the
-    first sign change on _GRID_POINTS energies, then bisected.  The left side
-    falls and the right side rises with E, so a crossing is unique.  With no
+    first downward sign change on _GRID_POINTS energies, then bisected.  Both
+    sides rise with E (the left side on every step of (-0.99, 0.29) at
+    mu_min = 0.3, m = 1 and L_min <= 0.8, on most steps at L_min = 2), so the
+    difference need not be monotone and a crossing need not be unique: E* is
+    the first one above the bracket floor that the grid resolves.  With no
     crossing the result degrades gracefully: dominance everywhere pins
     E* = mu_min ("holds_on_whole_bracket"); exclusion nowhere returns the
     vacuous E* = -m ("no_exclusion").  N = 1 disks have zero radius, so

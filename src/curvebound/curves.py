@@ -40,8 +40,8 @@ class Circle:
     normal: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValidationError("circle radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValidationError("circle radius must be positive and finite")
         if not np.all(np.isfinite(self.center)) or not np.all(np.isfinite(self.normal)):
             raise ValidationError("circle center/normal must be finite")
         if np.linalg.norm(self.normal) == 0:
@@ -183,8 +183,8 @@ class SampledCurve:
 
     def rescaled(self, factor: float) -> "SampledCurve":
         """The same curve with every length scaled by factor (flat backends)."""
-        if factor <= 0:
-            raise DomainError("scale factor must be positive")
+        if not 0 < factor < math.inf:
+            raise DomainError("scale factor must be positive and finite")
         kappa = self.kappa_star / factor
         return SampledCurve(
             nodes=self.nodes * factor,
@@ -368,11 +368,11 @@ def family_geometry(
     """
     curves = tuple(curves)
     mu = np.asarray(mu, dtype=float)
-    if mass <= 0:
-        raise DomainError("mass must be positive")
+    if not 0 < mass < math.inf:
+        raise DomainError("mass must be positive and finite")
     if len(mu) != len(curves):
         raise DomainError("one binding parameter per curve required")
-    if np.any(np.abs(mu) >= mass):
+    if not np.all(np.abs(mu) < mass):
         raise DomainError("binding parameters must satisfy |mu_i| < mass")
     n = len(curves)
     d = np.zeros((n, n))

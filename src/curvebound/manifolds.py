@@ -183,8 +183,8 @@ class KernelGeometry:
     rows holds the pair factors of the exponent a(u) d^2 + b(u): d^2 and 1,
     and on Hyperbolic3 also log(rho/sinh rho).  On FlatTorus3, d^2 is |xi|^2,
     and per axis xi is the wrapped separation, xi_max the running maximum of
-    |xi| (so a prefix's largest is its last column) and cosines the
-    cos(2 pi n xi/L) for n = 0.._mode_count(switch).  geometry[:k] is the
+    |xi| (so a prefix's largest is its last column) and cosines[n - 1] is
+    cos(2 pi n xi/L) for n = 1.._mode_count(switch).  geometry[:k] is the
     geometry of the first k pairs; np.shape counts pairs, as for a
     displacement batch.
     """
@@ -209,7 +209,7 @@ def kernel_geometry(manifold: ManifoldSpec, disp) -> KernelGeometry:
     if isinstance(manifold, FlatTorus3):
         ls = np.asarray(manifold.circumferences)[:, None]
         xi = _wrap(np.atleast_2d(disp).T, ls)
-        n = 2.0 * math.pi * np.arange(_mode_count(POISSON_SWITCH, 1.0) + 1)
+        n = 2.0 * math.pi * np.arange(1, _mode_count(POISSON_SWITCH, 1.0) + 1)
         return KernelGeometry(np.stack([np.sum(xi * xi, axis=0), np.ones(xi.shape[1])]), xi,
                               np.maximum.accumulate(np.abs(xi), axis=1),
                               np.cos(n[:, None] * xi[:, None, :] / ls[:, :, None]))
@@ -309,9 +309,9 @@ def _mode_sum(out, u, cosines, L):
     """(1/L) (1 + sum_n c_n(u) cos(2 pi n xi/L)) into out, from n = 1, with
     c_n = 2 exp(-4 pi^2 n^2 u/L^2) on the rows where that is above
     e^-GAUSSIAN_TAIL.  u is ascending, so those rows are a prefix;
-    cosines[n] is cos(2 pi n xi/L) on one row of separations for every u,
-    or on a row per u (at least for the rows that keep mode 1)."""
-    n = np.arange(1, cosines.shape[0])
+    cosines[n - 1] is cos(2 pi n xi/L) on one row of separations for every
+    u, or on a row per u (at least for the rows that keep mode 1)."""
+    n = np.arange(1, cosines.shape[0] + 1)
     expo = np.multiply.outer(u, -4.0 * math.pi**2 * n**2) / L**2
     live = np.sum(expo >= -GAUSSIAN_TAIL, axis=0).tolist()  # rows that keep mode n
     rows = live[0] if live else 0
@@ -322,7 +322,7 @@ def _mode_sum(out, u, cosines, L):
     out[:rows] = 1.0
     term = np.empty_like(out[:rows])
     for k, rows_k in enumerate(live):
-        t, c = term[:rows_k], cosines[k + 1]
+        t, c = term[:rows_k], cosines[k]
         t[...] = c[:rows_k] if c.ndim == 2 else c  # a row copy and a column product
         t *= coef[:rows_k, k, None]  # are faster than one broadcast product
         out[:rows_k] += t
@@ -375,7 +375,7 @@ def circle_heat_kernel(u, xi, L):
         v = u_rows[rows]
         # per-row cosines only where mode 1 is live: _mode_sum reads no others
         live = int(np.count_nonzero(v * (-4.0 * math.pi**2) / L**2 >= -GAUSSIAN_TAIL))
-        n = 2.0 * math.pi * np.arange(_mode_count(POISSON_SWITCH, 1.0) + 1)
+        n = 2.0 * math.pi * np.arange(1, _mode_count(POISSON_SWITCH, 1.0) + 1)
         cosines = np.multiply.outer(n, xi_rows[rows[:live]] if per_row else xi_rows)
         cosines /= L
         part = np.empty((len(rows), out.shape[1]))

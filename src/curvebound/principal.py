@@ -58,6 +58,8 @@ from .quadrature import (
     _erfcx,
     _leggauss,
     _rule_nodes,
+    check_energy_window,
+    gauss_panels,
 )
 
 
@@ -78,8 +80,8 @@ class RGScale:
     lambda_R: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise DomainError("counterterm scale mu must be positive")
+        if not 0 < self.mu < math.inf:
+            raise DomainError("counterterm scale mu must be positive and finite")
         if not self.lambda_R > 0:
             raise DomainError("coupling must be positive")
 
@@ -127,28 +129,23 @@ def _band_grid(delta, sw: SingWindowConfig):
 
 
 def _far_grid(delta, half_length, sw: SingWindowConfig):
+    """Nodes/weights for int_delta^half_length g(xi) dxi on geometric panels."""
     if half_length <= delta * (1.0 + 1e-12):
         return np.empty(0), np.empty(0)
     n_panels = max(1, int(math.ceil(math.log(half_length / delta) / math.log(sw.far_panel_ratio))))
     breaks = np.geomspace(delta, half_length, n_panels + 1)
-    x, gw = _leggauss(sw.far_nodes)
-    xs, ws = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        xs.append(0.5 * (a + b) + 0.5 * (b - a) * x)
-        ws.append(0.5 * (b - a) * gw)
-    return np.concatenate(xs), np.concatenate(ws)
+    xi, w = gauss_panels(breaks[:-1], breaks[1:], sw.far_nodes)
+    return xi.ravel(), w.ravel()
 
 
 def _inner_grid(curve: SampledCurve, sw: SingWindowConfig):
-    """Signed relative-arc nodes and weights covering xi in (-L/2, L/2)."""
+    """Signed relative-arc nodes xi covering (-L/2, L/2) and two weight rows:
+    the whole range, and the |xi| < delta band alone (zero on the far panels)."""
     xb, wb = _band_grid(curve.delta_window, sw)
     xf, wf = _far_grid(curve.delta_window, 0.5 * curve.length, sw)
-    xi = np.concatenate([xb, xf, -xb, -xf])
-    wt = np.concatenate([wb, wf, wb, wf])
-    band_mask = np.zeros(xi.shape, dtype=bool)
-    band_mask[: len(xb)] = True
-    band_mask[len(xb) + len(xf) : 2 * len(xb) + len(xf)] = True
-    return xi, wt, band_mask
+    far = np.zeros_like(wf)
+    return (np.concatenate([xb, xf, -xb, -xf]),
+            np.array([np.concatenate([wb, wf, wb, wf]), np.concatenate([wb, far, wb, far])]))
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +185,10 @@ class _TraceStore:
         self.cfg = cfg
         self.traces, self._grids, self._counter = {}, [], {}  # traces keyed (i, j), i <= j
         for i, ci in enumerate(family.curves):
-            xi, wt, band_mask = _inner_grid(ci, cfg.sing_window)
+            xi, cols = _inner_grid(ci, cfg.sing_window)
             outer = ci.nodes[:1] if ci.homogeneous else ci.nodes
             x = np.repeat(ci.point_at(outer), len(xi), axis=0)
             disp = pair_displacement(manifold, x, ci.point_at((outer[:, None] + xi).ravel()))
-            cols = np.stack([wt, np.where(band_mask, wt, 0.0)])
             coeffs = np.tile(cols, len(outer)) / len(outer)
             self.traces[i, i] = _ambient_trace(manifold, disp, coeffs, cfg)
             self._grids.append((xi, cols, ci.length))
@@ -251,7 +247,7 @@ class _Contraction:
         self._w_mu, self._counter = {}, {}  # i -> w_mu_i on diagonal i's nodes, its counterterm
 
     def _check(self, E):
-        _check_energy(E, self.family.mass)
+        check_energy_window(self.family.mass, E)
         if isinstance(self.p, RGScale) and not E < self.p.mu:
             raise DomainError("flow prescription requires E < mu")
 
@@ -286,8 +282,9 @@ class _Contraction:
                 _counterterm_weight(self.p.mu), self.family.mass, self.e_max)
         return self._counter[i]
 
-    def phi(self, E):
-        """(entries, err, band) of Phi(E), unchecked against the tolerance.
+    def matrix(self, E) -> PrincipalMatrix:
+        """Phi(E), raising ConvergenceError when any entry's half-order defect
+        exceeds abs_tol + rel_tol |value|.
 
         |E| must not exceed the largest |energy| the call was set up for.
         """
@@ -314,22 +311,7 @@ class _Contraction:
             r[:, i, j] = r[:, j, i] = d[:, 0]
             if i == j:
                 band[i] = d[0, 1]
-        return r[0], np.abs(r[0] - r[1]), band
-
-    def dphi(self, E):
-        """dPhi/dE: every entry is minus the derivative-weighted trace."""
-        _check_energy(E, self.family.mass)
-        n = len(self.family)
-        w = quadrature.weight_derivative(self._nodes(self.store.traces), E, self.family.mass)
-        out = np.zeros((n, n))
-        for i, j in self.store.traces:
-            out[i, j] = out[j, i] = -_contract(self._rules[i, j], w[self._slots[i, j]])[0, 0]
-        return out
-
-    def matrix(self, E) -> PrincipalMatrix:
-        """Phi(E), raising ConvergenceError when any entry's half-order defect
-        exceeds abs_tol + rel_tol |value|."""
-        entries, err, band = self.phi(E)
+        entries, err = r[0], np.abs(r[0] - r[1])
         tol = self.cfg.abs_tol + self.cfg.rel_tol * np.abs(entries)
         over = np.where(err > tol, err, 0.0)
         if np.any(over):
@@ -341,6 +323,16 @@ class _Contraction:
             )
         return PrincipalMatrix(E=float(E), entries=entries, err=err, band_contributions=band,
                                fingerprint=self.fingerprint)
+
+    def dphi(self, E):
+        """dPhi/dE: every entry is minus the derivative-weighted trace."""
+        check_energy_window(self.family.mass, E)
+        n = len(self.family)
+        w = quadrature.weight_derivative(self._nodes(self.store.traces), E, self.family.mass)
+        out = np.zeros((n, n))
+        for i, j in self.store.traces:
+            out[i, j] = out[j, i] = -_contract(self._rules[i, j], w[self._slots[i, j]])[0, 0]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +347,6 @@ def family_fingerprint(family: CurveFamily, manifold: ManifoldSpec) -> str:
     for c in family.curves:
         h.update(np.asarray(c.points, dtype=float).tobytes())
     return h.hexdigest()[:16]
-
-
-def _check_energy(E, m):
-    if not -m < E < m:
-        raise DomainError(f"energy must lie in (-{m}, {m}), got {E}")
 
 
 def assemble(
@@ -397,6 +384,8 @@ def rg_assemble(
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     m: float = 1.0,
 ) -> float:
-    """Scalar flow-prescription principal value Phi_R(E) for one curve."""
+    """Scalar flow-prescription principal value Phi_R(E) for one curve: the
+    RGScale(mu, lambda_R) assemble of its one-curve family, so it raises
+    ConvergenceError as assemble does."""
     family = CurveFamily(curves=(curve,), mu=np.zeros(1), d_matrix=np.zeros((1, 1)), mass=m)
-    return float(_Contraction(family, RGScale(mu, lambda_R), manifold, cfg, [E]).phi(E)[0][0, 0])
+    return float(assemble(family, E, RGScale(mu, lambda_R), manifold, cfg).entries[0, 0])

@@ -18,8 +18,9 @@ erfcx is Weideman's rational expansion of the Faddeeva function on the real
 axis (J. A. C. Weideman, SIAM J. Numer. Anal. 31 (1994) 1497), in NumPy.
 u-integration uses geometric panels with Gauss-Legendre nodes between a
 boundary-layer floor ~ d^2/160 and an exponential-tail cap set by the
-largest |energy| in play, and the error estimate is the defect of an
-embedded half-order rule.
+largest |energy| in play, and the error estimate is the defect of a
+half-order Gauss-Legendre rule with its own max(8, u_nodes/2) nodes per
+panel (12 of a panel's 36 kernel evaluations at the default 24).
 
 Only the weight depends on the energy.  A weighted sum of kernels over
 point pairs, T(u) = sum_p c_p K_u(disp_p), is therefore evaluated once on
@@ -92,11 +93,11 @@ class SingWindowConfig:
     far_nodes: int = 24
 
     def __post_init__(self):
-        if self.log_depth <= 0:
-            raise DomainError("log_depth must be positive")
+        if not 0 < self.log_depth < math.inf:
+            raise DomainError("log_depth must be positive and finite")
         if self.log_nodes < 4:
             raise DomainError("log_nodes must be at least 4")
-        if self.far_panel_ratio <= 1:
+        if not self.far_panel_ratio > 1:
             raise DomainError("far_panel_ratio must exceed 1")
         if self.far_nodes < 4:
             raise DomainError("far_nodes must be at least 4")
@@ -116,12 +117,12 @@ class QuadratureConfig:
             raise DomainError("t_nodes must be at least 16")
         if self.u_nodes < 16:
             raise DomainError("u_nodes must be at least 16")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise DomainError("rel_tol must be positive")
-        if self.abs_tol <= 0:
+        if not self.abs_tol > 0:
             raise DomainError("abs_tol must be positive")
-        if self.panel_ratio <= 1:
-            raise DomainError("panel_ratio must exceed 1")
+        if not 1 < self.panel_ratio < math.inf:
+            raise DomainError("panel_ratio must exceed 1 and be finite")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -253,9 +254,13 @@ def _gauss_laguerre(n, alpha):
     return nodes, weights
 
 
-def _panel_nodes(a, b, n):
+def gauss_panels(a, b, n):
+    """n-point Gauss-Legendre nodes mid + half x and weights half w on each
+    panel [a, b], mid = (a + b)/2 and half = (b - a)/2: a row per panel for
+    arrays a and b, a single row for scalars."""
     x, w = _leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    mid, half = (0.5 * (a + b))[..., None], (0.5 * (b - a))[..., None]
     return mid + half * x, half * w
 
 
@@ -305,7 +310,7 @@ def _chebyshev_proxies(geometry: KernelGeometry, coeffs):
 class _HeatTrace:
     """Energy-independent heat trace T(u) = sum_p c_p K_u(disp_p) of one entry.
 
-    T is held per node of the full and of the embedded half-order u-rule on
+    T is held per node of the full and of the half-order u-rule on
     the panels of u_panel_breaks (plus, with tail, an algebraic panel
     u = u_top/s^2 out to infinity), one column per coefficient vector.  Every
     diffusion-time integral sum_p c_p int du w(u) K_u(disp_p) is then the
@@ -378,15 +383,14 @@ class _HeatTrace:
             a, b = breaks[held:-1], breaks[held + 1:]
             active = np.searchsorted(self._d2, BOUNDARY_LAYER * b).tolist()
             # the (u, w) of every new panel per rule order, a row per panel
-            mid, half = (0.5 * (a + b))[:, None], (0.5 * (b - a))[:, None]
-            nodes = [(mid + half * x, half * w) for x, w in map(_leggauss, self._orders)]
+            nodes = [gauss_panels(a, b, q) for q in self._orders]
             for p, (lo, k) in enumerate(zip(a.tolist(), active)):
                 self._panels.append(self._panel([(u[p], w[p]) for u, w in nodes], k, lo))
             ladder = self._panels[:n]
             if self._tail:
                 u_top = breaks[-1]
                 tail = [(u_top / s**2, w * 2.0 * u_top / s**3)
-                        for s, w in (_panel_nodes(0.0, 1.0, q) for q in self._orders)]
+                        for s, w in (gauss_panels(0.0, 1.0, q) for q in self._orders)]
                 ladder = ladder + [self._panel(tail, len(self._d2), u_top)]
             self._rules[n] = [tuple(np.concatenate(x) for x in zip(*panels))
                               for panels in zip(*ladder)]
@@ -426,13 +430,13 @@ def _ambient_trace(manifold: ManifoldSpec, disp, coeffs, cfg: QuadratureConfig):
 # public scalar pair kernels
 
 
-def _check_pair_domain(E, m, mu=None):
-    if m <= 0:
-        raise DomainError("mass must be positive")
-    if not -m < E < m:
-        raise DomainError(f"energy must lie in (-m, m), got {E}")
-    if mu is not None and not -m < mu < m:
-        raise DomainError(f"mu must lie in (-m, m), got {mu}")
+def check_energy_window(m, *energies):
+    """Raise DomainError unless m > 0 and every energy lies in (-m, m); NaN fails."""
+    if not m > 0:
+        raise DomainError(f"mass must be positive, got {m}")
+    for E in energies:
+        if not -m < E < m:
+            raise DomainError(f"energy {E} outside (-{m}, {m})")
 
 
 def _pair_integral(weight, x, y, m, e_max, manifold, cfg, distinct=None):
@@ -451,7 +455,7 @@ def _pair_integral(weight, x, y, m, e_max, manifold, cfg, distinct=None):
 def pair_kernel_plain(E, x, y, m, manifold: ManifoldSpec = Euclidean3(),
                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> PairKernelValue:
     """Subordinated free-resolvent pair kernel G_plain(E; x, y), x != y."""
-    _check_pair_domain(E, m)
+    check_energy_window(m, E)
     v, e, _ = _pair_integral(lambda u: weight_plain(u, E, m), x, y, m, abs(E), manifold, cfg,
                              "plain")
     return PairKernelValue(float(v), float(e))
@@ -465,7 +469,7 @@ def pair_kernel_renormalized(E, mu, x, y, m, manifold: ManifoldSpec = Euclidean3
     log-divergent continuum value, and the error estimate is set to the
     truncated magnitude so downstream code cannot mistake it for converged.
     """
-    _check_pair_domain(E, m, mu)
+    check_energy_window(m, E, mu)
     if E == mu:
         return PairKernelValue(0.0, 0.0)
     v, e, d = _pair_integral(lambda u: weight_renormalized(u, E, mu, m), x, y, m,
@@ -478,7 +482,7 @@ def pair_kernel_renormalized(E, mu, x, y, m, manifold: ManifoldSpec = Euclidean3
 def pair_kernel_derivative(E, x, y, m, manifold: ManifoldSpec = Euclidean3(),
                            cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> PairKernelValue:
     """Energy derivative dG_plain/dE; strictly positive on the domain."""
-    _check_pair_domain(E, m)
+    check_energy_window(m, E)
     v, e, _ = _pair_integral(lambda u: weight_derivative(u, E, m), x, y, m, abs(E), manifold,
                              cfg, "derivative")
     return PairKernelValue(float(v), float(e))
@@ -503,15 +507,14 @@ def flat_resolvent_oracle(E: float, d: float, m: float = 1.0) -> float:
     ratio-4 ladder from pi/2 down to that point carry it to rounding.  At
     E = 0 this is e^{-m d}/(8 pi d).
     """
-    _check_pair_domain(E, m)
+    check_energy_window(m, E)
     if not 0 < d < math.inf:
         raise DomainError("oracle requires a finite d > 0")
     if E == 0.0:
         return math.exp(-m * d) / (8.0 * math.pi * d)
     n_panels = max(1, math.ceil(math.log(0.5 * math.pi * 800.0 / (d * abs(E)), 4.0)))
     breaks = 0.5 * math.pi * 0.25 ** np.arange(n_panels + 1)
-    s, w = (np.concatenate(x) for x in
-            zip(*(_panel_nodes(a, b, 24) for a, b in zip(breaks[1:], breaks[:-1]))))
+    s, w = (x.ravel() for x in gauss_panels(breaks[1:], breaks[:-1], 24))
     j = float(w @ np.exp(-d * np.hypot(m, E / np.tan(s))))
     kappa = math.sqrt(m * m - E * E)
     sgn = 1.0 if E > 0 else -1.0

@@ -57,8 +57,8 @@ def beta(lambda_R: float, L: float = 2.0 * math.pi,
     Golub-Welsch eigenvalue method in NumPy, so they stay finite at any node
     count.
     """
-    if lambda_R <= 0 or L <= 0:
-        raise DomainError("beta needs lambda_R > 0 and L > 0")
+    if not (lambda_R > 0 and 0 < L < math.inf):
+        raise DomainError("beta needs lambda_R > 0 and a finite L > 0")
     closed = -lambda_R * lambda_R / _FOUR_PI
     if method == "closed_form":
         return closed
@@ -92,8 +92,8 @@ def flow_coupling(lambda_mu: float, tau: float) -> float:
     The closed form is length independent.  Raises FlowPoleError at and
     below the pole scale tau* = exp(-4 pi / lambda).
     """
-    if lambda_mu <= 0 or tau <= 0:
-        raise DomainError("flow needs lambda > 0 and tau > 0")
+    if not (0 < lambda_mu < math.inf and 0 < tau < math.inf):
+        raise DomainError("flow needs finite lambda > 0 and tau > 0")
     den = 1.0 + lambda_mu / _FOUR_PI * math.log(tau)
     if den <= 0:
         tau_c = math.exp(-_FOUR_PI / lambda_mu)
@@ -116,8 +116,8 @@ def ode_flow_values(lambda_mu: float, taus) -> np.ndarray:
     non-finite or the step falls below the resolution of s.
     """
     taus = np.asarray(taus, dtype=float)
-    if np.any(taus <= 0):
-        raise DomainError("tau values must be positive")
+    if not np.all((taus > 0) & (taus < math.inf)):
+        raise DomainError("tau values must be positive and finite")
     logs = np.log(taus)
     out = np.full(taus.shape, float(lambda_mu))
 

@@ -49,7 +49,7 @@ class GroundState:
     bracket: tuple
     iterations: int
     residual: float
-    status: str  # "converged" | "at_bracket_top" | "no_bound_state_in_bracket"
+    status: str  # "converged" | "no_bound_state_in_bracket"
     possibly_degenerate: bool = False
 
 

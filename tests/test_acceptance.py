@@ -187,7 +187,7 @@ def test_criterion_12_kernel_properties():
     uu = np.array([L**2 / (4.0 * math.pi**2)])
     xi = np.array([L / 3.0])
     a, b = np.empty((1, 1)), np.empty((1, 1))
-    _mode_sum(a, uu, np.cos(2.0 * math.pi * np.arange(13)[:, None] * xi / L), L)
+    _mode_sum(a, uu, np.cos(2.0 * math.pi * np.arange(1, 13)[:, None] * xi / L), L)
     _image_sum(b, uu, xi, L, np.array([12]))
     poisson_gap = abs(a[0, 0] - b[0, 0]) / a[0, 0]
     assert poisson_gap < 1e-12

@@ -1,10 +1,29 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from curvebound import ConfigError, parse_config
+from curvebound import (
+    BoundConstants,
+    Circle,
+    ConfigError,
+    DomainError,
+    Euclidean3,
+    QuadratureConfig,
+    RGScale,
+    SingWindowConfig,
+    ValidationError,
+    beta,
+    diagonal_lower_bound,
+    family_geometry,
+    flow_coupling,
+    ode_flow_values,
+    offdiagonal_upper_bound,
+    parse_config,
+    resample_arclength,
+)
 from curvebound.cli import main
 
 MINIMAL = {
@@ -106,6 +125,71 @@ def test_cli_scan_deterministic_and_monotone(tmp_path):
     assert data.shape == (4, 5)
     assert np.all(np.diff(data[:, 1]) < 0)  # omega_1 strictly decreasing in E
     assert np.all(np.diff(data[:, 2]) < 0)
+
+
+@pytest.mark.parametrize("command", ["solve", "scan", "bounds", "flow", "validate"])
+def test_cli_reruns_are_byte_identical(tmp_path, command):
+    cfg = Path(__file__).parents[1] / "perfbench" / "configs" / f"{command}.json"
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names and names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def _unit_circle_family(mass=1.0, mu=0.0):
+    curve = resample_arclength(Circle((0, 0, 0), 1.0), 64)
+    return family_geometry([curve], Euclidean3(), [mu], mass=mass)
+
+
+# the Python API's range checks reject NaN, and an infinity wherever it would
+# break the result (the CLI rejects non-finite numbers before they get here)
+NON_FINITE = {
+    "QuadratureConfig.rel_tol=nan": (DomainError, lambda: QuadratureConfig(rel_tol=math.nan)),
+    "QuadratureConfig.abs_tol=nan": (DomainError, lambda: QuadratureConfig(abs_tol=math.nan)),
+    "QuadratureConfig.panel_ratio=nan": (DomainError,
+                                         lambda: QuadratureConfig(panel_ratio=math.nan)),
+    "QuadratureConfig.panel_ratio=inf": (DomainError,
+                                         lambda: QuadratureConfig(panel_ratio=math.inf)),
+    "SingWindowConfig.log_depth=nan": (DomainError, lambda: SingWindowConfig(log_depth=math.nan)),
+    "SingWindowConfig.log_depth=inf": (DomainError, lambda: SingWindowConfig(log_depth=math.inf)),
+    "SingWindowConfig.far_panel_ratio=nan": (
+        DomainError, lambda: SingWindowConfig(far_panel_ratio=math.nan)),
+    "Circle.radius=nan": (ValidationError, lambda: Circle((0, 0, 0), math.nan)),
+    "Circle.radius=inf": (ValidationError, lambda: Circle((0, 0, 0), math.inf)),
+    "family_geometry.mass=nan": (DomainError, lambda: _unit_circle_family(mass=math.nan)),
+    "family_geometry.mass=inf": (DomainError, lambda: _unit_circle_family(mass=math.inf)),
+    "family_geometry.mu=nan": (DomainError, lambda: _unit_circle_family(mu=math.nan)),
+    "beta.lambda_R=nan": (DomainError, lambda: beta(math.nan)),
+    "beta.L=inf": (DomainError, lambda: beta(1.0, L=math.inf)),
+    "flow_coupling.lambda=nan": (DomainError, lambda: flow_coupling(math.nan, 2.0)),
+    "flow_coupling.lambda=inf": (DomainError, lambda: flow_coupling(math.inf, 1.0)),
+    "flow_coupling.tau=nan": (DomainError, lambda: flow_coupling(1.0, math.nan)),
+    "BoundConstants.A=nan": (DomainError, lambda: BoundConstants(A=math.nan)),
+    "BoundConstants.B=inf": (DomainError, lambda: BoundConstants(B=math.inf)),
+    "BoundConstants.V=nan": (DomainError, lambda: BoundConstants(V=math.nan)),
+    "diagonal_lower_bound.L_min=nan": (
+        DomainError, lambda: diagonal_lower_bound(-0.5, 0.3, 1.0, math.nan)),
+    "offdiagonal_upper_bound.d_min=nan": (
+        DomainError, lambda: offdiagonal_upper_bound(-0.5, 1.0, math.nan, 1.0)),
+    "offdiagonal_upper_bound.L_max=nan": (
+        DomainError, lambda: offdiagonal_upper_bound(-0.5, 1.0, 1.0, math.nan)),
+    "RGScale.mu=inf": (DomainError, lambda: RGScale(math.inf, 1.0)),
+    "SampledCurve.rescaled=nan": (
+        DomainError, lambda: resample_arclength(Circle((0, 0, 0), 1.0), 16).rescaled(math.nan)),
+    # an infinite tau would march the ODE for ~2^53 steps
+    "ode_flow_values.tau=nan": (DomainError, lambda: ode_flow_values(1.0, [math.nan])),
+    "ode_flow_values.tau=inf": (DomainError, lambda: ode_flow_values(1.0, [math.inf])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_range_checks_reject_non_finite_values(case):
+    error, make = NON_FINITE[case]
+    with pytest.raises(error):
+        make()
 
 
 def test_cli_task_kind_mismatch(tmp_path):

@@ -222,11 +222,10 @@ def _circles(manifold, centers, radius, mus):
 
 def _diagonal_pairs(curve, manifold):
     """(displacements, [whole, band] coefficients) of every (outer node, xi) pair."""
-    xi, wt, band = _inner_grid(curve, DEFAULT_QUADRATURE.sing_window)
+    xi, cols = _inner_grid(curve, DEFAULT_QUADRATURE.sing_window)
     outer = curve.nodes[:1] if curve.homogeneous else curve.nodes
     disp = pair_displacement(manifold, np.repeat(curve.point_at(outer), len(xi), axis=0),
                              curve.point_at((outer[:, None] + xi).ravel()))
-    cols = np.stack([wt, np.where(band, wt, 0.0)])
     return disp, np.tile(cols, len(outer)) / len(outer)
 
 
@@ -275,11 +274,11 @@ def test_pruned_traces_match_all_pairs(name):
         checks.append((trace, lambda u, disp=disp: heat_kernel_grid(manifold, u, disp),
                        coeffs, weight, e_max))
     for i in range(len(curves)) if rg else ():
-        xi, wt, band = _inner_grid(curves[i], DEFAULT_QUADRATURE.sing_window)
+        xi, cols = _inner_grid(curves[i], DEFAULT_QUADRATURE.sing_window)
         L = curves[i].length
         checks.append((store.counterterm(i),
                        lambda u, xi=xi, L=L: circle_heat_kernel(u[:, None], xi, L),
-                       np.stack([wt, np.where(band, wt, 0.0)]), _counterterm_weight(p.mu),
+                       cols, _counterterm_weight(p.mu),
                        abs(E)))
     for trace, kernel, coeffs, weight, e_max in checks:
         full, half = trace.integrate(weight, 1.0, e_max)
@@ -312,7 +311,7 @@ def test_torus_kernel_sums_only_live_series_terms(monkeypatch):
         return images_of(out, u, xi, L, radius)
 
     def modes(out, u, cosines, L):
-        summed["modes"][0] += (cosines.shape[0] - 1) * out.size
+        summed["modes"][0] += cosines.shape[0] * out.size
         summed["modes"][1] += out.size
         return modes_of(out, u, cosines, L)
 

@@ -96,7 +96,7 @@ def test_circle_kernel_poisson_duality():
     u = np.array([L**2 / (4.0 * math.pi**2)])
     xi = np.array([L / 3.0])
     a, b = np.empty((1, 1)), np.empty((1, 1))
-    _mode_sum(a, u, np.cos(2.0 * math.pi * np.arange(13)[:, None] * xi / L), L)
+    _mode_sum(a, u, np.cos(2.0 * math.pi * np.arange(1, 13)[:, None] * xi / L), L)
     _image_sum(b, u, xi, L, np.array([12]))
     assert abs(a[0, 0] - b[0, 0]) / a[0, 0] < 1e-12
 

@@ -121,6 +121,14 @@ def test_rg_assemble_matches_assemble(single_family):
     assert a == pytest.approx(b, rel=1e-10)
 
 
+def test_rg_assemble_raises_convergence_error_like_assemble():
+    # no unchecked Phi_R (1.0695 here) where assemble on the same family raises
+    curve = resample_arclength(Circle((0, 0, 0), 1.0), 64)
+    tight = QuadratureConfig(u_nodes=16, rel_tol=1e-300, abs_tol=1e-300)
+    with pytest.raises(ConvergenceError):
+        rg_assemble(curve, -0.3, 0.5, 1.0, cfg=tight)
+
+
 def test_band_contribution_recorded(single_family):
     M = assemble(single_family, -0.5)
     assert M.band_contributions.shape == (1,)
