@@ -12,7 +12,8 @@ The circle kernel is kept in the circumference-L convention
     K_u(xi) = (1/L) sum_n exp(-4 pi^2 n^2 u / L^2) exp(2 pi i n xi / L)
 
 with a Poisson-resummed image form used below the switch point, so both the
-u -> 0 and u -> infinity regimes converge with a handful of terms.
+u -> 0 and u -> infinity regimes converge with a handful of terms;
+_circle_rows evaluates it for the torus axes and circle_heat_kernel alike.
 
 heat_kernel_grid works in two stages: kernel_geometry holds what depends on
 the pairs alone (a heat trace builds it once), and each call on a u grid
@@ -149,28 +150,21 @@ def displacement_distance(manifold: ManifoldSpec, disp):
     return np.asarray(disp)
 
 
-def _sinh_ratio(rho):
-    """rho/sinh rho with the small-argument series below 1e-4."""
-    rho = np.asarray(rho, dtype=float)
-    out = np.empty(rho.shape)
-    small = rho < 1e-4
-    r2 = rho[small] ** 2
-    out[small] = 1.0 - r2 / 6.0 + 7.0 * r2**2 / 360.0
-    rb = rho[~small]
-    out[~small] = rb / np.sinh(rb)
-    return out
-
-
 def _log_sinh_ratio(rho):
     """log(rho/sinh rho), finite at any rho >= 0.
 
-    Beyond rho = 20 it is log(2 rho) - rho - log1p(-e^{-2 rho}), so that sinh,
+    Below rho = 1e-4 it is the log of the series 1 - rho^2/6 + 7 rho^4/360;
+    beyond rho = 20 it is log(2 rho) - rho - log1p(-e^{-2 rho}), so that sinh,
     which overflows beyond rho ~ 710, is never formed there.
     """
     rho = np.asarray(rho, dtype=float)
     out = np.empty(rho.shape)
-    far = rho > 20.0
-    out[~far] = np.log(_sinh_ratio(rho[~far]))
+    small, far = rho < 1e-4, rho > 20.0
+    r2 = rho[small] ** 2
+    out[small] = np.log(1.0 - r2 / 6.0 + 7.0 * r2**2 / 360.0)
+    mid = ~(small | far)
+    rb = rho[mid]
+    out[mid] = np.log(rb / np.sinh(rb))
     rf = rho[far]
     out[far] = np.log(2.0 * rf) - rf - np.log1p(-np.exp(-2.0 * rf))
     return out
@@ -182,16 +176,15 @@ class KernelGeometry:
 
     rows holds the pair factors of the exponent a(u) d^2 + b(u): d^2 and 1,
     and on Hyperbolic3 also log(rho/sinh rho).  On FlatTorus3, d^2 is |xi|^2,
-    and per axis xi is the wrapped separation, xi_max the running maximum of
-    |xi| (so a prefix's largest is its last column) and cosines[n - 1] is
-    cos(2 pi n xi/L) for n = 1.._mode_count(switch).  geometry[:k] is the
+    and per axis xi is the wrapped separation and cosines[n - 1] is
+    cos(2 pi n xi/L) for n = 1.._mode_count(switch), the one row of
+    separations that _circle_rows takes for every u.  geometry[:k] is the
     geometry of the first k pairs; np.shape counts pairs, as for a
     displacement batch.
     """
 
     rows: np.ndarray
     xi: np.ndarray | None = None
-    xi_max: np.ndarray | None = None
     cosines: np.ndarray | None = None
 
     @property
@@ -200,7 +193,7 @@ class KernelGeometry:
 
     def __getitem__(self, prefix):
         return KernelGeometry(*(None if a is None else a[..., prefix]
-                                for a in (self.rows, self.xi, self.xi_max, self.cosines)))
+                                for a in (self.rows, self.xi, self.cosines)))
 
 
 def kernel_geometry(manifold: ManifoldSpec, disp) -> KernelGeometry:
@@ -211,7 +204,6 @@ def kernel_geometry(manifold: ManifoldSpec, disp) -> KernelGeometry:
         xi = _wrap(np.atleast_2d(disp).T, ls)
         n = 2.0 * math.pi * np.arange(1, _mode_count(POISSON_SWITCH, 1.0) + 1)
         return KernelGeometry(np.stack([np.sum(xi * xi, axis=0), np.ones(xi.shape[1])]), xi,
-                              np.maximum.accumulate(np.abs(xi), axis=1),
                               np.cos(n[:, None] * xi[:, None, :] / ls[:, :, None]))
     rows = [disp * disp, np.ones(disp.shape)]
     if isinstance(manifold, Hyperbolic3):
@@ -329,16 +321,34 @@ def _mode_sum(out, u, cosines, L):
     out[:rows] /= L
 
 
+def _circle_rows(out, u, xi, x, cosines, L):
+    """Circle kernel rows into out: the rows below u = POISSON_SWITCH * L^2
+    are an image sum (_image_sum) whose radius is per row (_image_radii at
+    the largest |xi|, x), the others a mode sum (_mode_sum).
+
+    The image rows come first, ascending in radius, and the mode rows after
+    them, ascending in u.  xi is the wrapped separation on one row for every
+    u, or on a row per image row (and x per image row too); cosines are
+    _mode_sum's.
+    """
+    m = int(np.count_nonzero(u < POISSON_SWITCH * L * L))
+    if m:
+        _image_sum(out[:m], u[:m], xi, L, _image_radii(u[:m], x, L))
+    if m < len(u):
+        _mode_sum(out[m:], u[m:], cosines, L)
+
+
 def circle_heat_kernel(u, xi, L):
     """Heat kernel on a circle of circumference L at arc separation xi.
 
-    Broadcasts over array u and xi.  The broadcast is a block with a row per
-    u along its last axis (one row of separations for every u where xi
-    varies along the last axis alone): rows at or above u = POISSON_SWITCH *
-    L^2 are a mode sum (_mode_sum), the others an image sum (_image_sum)
-    whose radius is per row (_image_radii at the row's largest |xi|).
-    Every dropped term is below e^-GAUSSIAN_TAIL (~4e-18) of the largest
-    kept one, and an image sum keeps no image that is +0.0 at every column.
+    Broadcasts over array u and xi in two layouts: a block with a row per u
+    along its last axis takes one row of separations for every u where xi
+    varies along the last axis alone, and a row per u otherwise; where u
+    itself varies along the last axis, each element is a row of one.  The
+    rows are ordered for _circle_rows once, filled as one block and scattered
+    back.  Every dropped term is below e^-GAUSSIAN_TAIL (~4e-18) of the
+    largest kept one, and an image sum keeps no image that is +0.0 at every
+    column.
     """
     if not L > 0:
         raise DomainError("circumference must be positive")
@@ -346,41 +356,33 @@ def circle_heat_kernel(u, xi, L):
     xi_arr = np.asarray(xi, dtype=float)
     if not np.all(u_arr > 0):
         raise DomainError("diffusion time must be positive")
-    shape = np.broadcast_shapes(u_arr.shape, xi_arr.shape)
     if u_arr.ndim and u_arr.shape[-1] > 1:  # u varies along the last axis: a row per element
-        u_rows = np.broadcast_to(u_arr, shape).reshape(-1)
-        xi_rows = np.broadcast_to(xi_arr, shape).reshape(-1, 1)
+        return circle_heat_kernel(u_arr[..., None], xi_arr[..., None], L)[..., 0]
+    shape = np.broadcast_shapes(u_arr.shape, xi_arr.shape)
+    u_rows = np.broadcast_to(u_arr, shape[:-1] + (1,)).reshape(-1)
+    if all(d == 1 for d in xi_arr.shape[:-1]):  # one row of separations for every u
+        xi_rows = np.broadcast_to(xi_arr.reshape(-1), shape[-1:] or (1,))
     else:
-        u_rows = np.broadcast_to(u_arr, shape[:-1] + (1,)).reshape(-1)
-        if all(d == 1 for d in xi_arr.shape[:-1]):  # one row of separations for every u
-            xi_rows = np.broadcast_to(xi_arr.reshape(-1), shape[-1:] or (1,))
-        else:
-            xi_rows = np.broadcast_to(xi_arr, shape).reshape(len(u_rows), shape[-1])
+        xi_rows = np.broadcast_to(xi_arr, shape).reshape(len(u_rows), shape[-1])
     per_row = xi_rows.ndim == 2
-    mode = u_rows >= POISSON_SWITCH * L * L
-    out = np.empty((len(u_rows), xi_rows.shape[-1]))
-    rows = np.flatnonzero(~mode)
-    if len(rows):
-        wrapped = _wrap(xi_rows[rows] if per_row else xi_rows, L)
-        # the wrapped separation is at most L/2 and, up to rounding, |xi|
-        x = np.minimum(0.5 * L, np.max(np.abs(wrapped), axis=-1, initial=0.0))
-        radius = _image_radii(u_rows[rows], x, L)
-        by = np.argsort(radius, kind="stable")
-        part = np.empty((len(rows), out.shape[1]))
-        _image_sum(part, u_rows[rows[by]], wrapped[by] if per_row else wrapped, L, radius[by])
-        out[rows[by]] = part
-    rows = np.flatnonzero(mode)
-    if len(rows):
-        rows = rows[np.argsort(u_rows[rows], kind="stable")]
-        v = u_rows[rows]
-        # per-row cosines only where mode 1 is live: _mode_sum reads no others
-        live = int(np.count_nonzero(v * (-4.0 * math.pi**2) / L**2 >= -GAUSSIAN_TAIL))
-        n = 2.0 * math.pi * np.arange(1, _mode_count(POISSON_SWITCH, 1.0) + 1)
-        cosines = np.multiply.outer(n, xi_rows[rows[:live]] if per_row else xi_rows)
-        cosines /= L
-        part = np.empty((len(rows), out.shape[1]))
-        _mode_sum(part, v, np.cos(cosines, out=cosines), L)
-        out[rows] = part
+    image = u_rows < POISSON_SWITCH * L * L
+    rows, modes = np.flatnonzero(image), np.flatnonzero(~image)
+    wrapped = _wrap(xi_rows[rows] if per_row else xi_rows, L)
+    x = np.max(np.abs(wrapped), axis=-1, initial=0.0)
+    by = np.argsort(_image_radii(u_rows[rows], x, L), kind="stable")
+    modes = modes[np.argsort(u_rows[modes], kind="stable")]
+    order = np.concatenate([rows[by], modes])
+    # cosines on the rows that keep mode 1 alone (_mode_sum reads no others),
+    # and on one row for all of them where one row of separations serves every u
+    live = modes[u_rows[modes] * (-4.0 * math.pi**2) / L**2 >= -GAUSSIAN_TAIL]
+    n = 2.0 * math.pi * np.arange(1, _mode_count(POISSON_SWITCH, 1.0) + 1)
+    cosines = np.multiply.outer(n, xi_rows[live] if per_row else xi_rows[None][:len(live)])
+    cosines /= L
+    block = np.empty((len(u_rows), xi_rows.shape[-1]))
+    _circle_rows(block, u_rows[order], wrapped[by] if per_row else wrapped, x[by] if per_row else x,
+                 np.cos(cosines, out=cosines), L)
+    out = np.empty_like(block)
+    out[order] = block
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 
@@ -388,18 +390,16 @@ def circle_heat_kernel(u, xi, L):
 def _torus_block(ls, u, g: KernelGeometry):
     """FlatTorus3 kernel block: a product of circle kernels, one per axis.
 
-    Per axis, the rows at or above the Poisson switch are a mode sum and the
-    others an image sum whose radius is per row (_image_radii at the
-    largest |xi|, x).  Rows on which every axis keeps image 0 alone are the
-    Euclidean block on |xi|^2.
+    Per axis, _circle_rows fills the rows in ascending u on the geometry's
+    one row of separations, with the largest |xi| of this call.  Rows on
+    which every axis keeps image 0 alone are the Euclidean block on |xi|^2.
     """
     out = np.empty((u.shape[0], g.shape[0]))
     if not out.size:
         return out
-    x = g.xi_max[:, -1].tolist()
-    flat = min(min(POISSON_SWITCH * L * L, max(L * (L - 2.0 * xj) / (4.0 * GAUSSIAN_TAIL),
-                                                (L - xj) ** 2 / (4.0 * EXP_UNDERFLOW)))
-               for L, xj in zip(ls, x))
+    x = np.abs(g.xi).max(axis=1).tolist()
+    flat = min(max(L * (L - 2.0 * xj) / (4.0 * GAUSSIAN_TAIL),
+                   (L - xj) ** 2 / (4.0 * EXP_UNDERFLOW)) for L, xj in zip(ls, x))
     if u.max() < flat:
         return _radial_block(u, g.rows, out=out)
     order = None if np.all(u[1:] >= u[:-1]) else np.argsort(u)
@@ -412,12 +412,7 @@ def _torus_block(ls, u, g: KernelGeometry):
     for axis, (L, xj) in enumerate(zip(ls, x)):
         if axis == 1:
             factor = np.empty_like(rest)
-        m = max(flat, int(np.searchsorted(u, POISSON_SWITCH * L * L)))
-        if m > flat:
-            v = u[flat:m]
-            _image_sum(factor[:m - flat], v, g.xi[axis], L, _image_radii(v, xj, L))
-        if m < len(u):
-            _mode_sum(factor[m - flat:], u[m:], g.cosines[axis], L)
+        _circle_rows(factor, u[flat:], g.xi[axis], xj, g.cosines[axis], L)
         if axis:
             rest *= factor
     if order is None:
@@ -435,10 +430,10 @@ def heat_kernel_grid(manifold: ManifoldSpec, u, disp):
     Returns (nu, npairs).
     """
     u = np.asarray(u, dtype=float)
+    if not u.min(initial=math.inf) > 0:  # a NaN fails it too
+        raise DomainError("diffusion time must be positive")
     g = disp if isinstance(disp, KernelGeometry) else kernel_geometry(manifold, disp)
     if isinstance(manifold, FlatTorus3):
-        if not np.all(u > 0):
-            raise DomainError("diffusion time must be positive")
         return _torus_block(manifold.circumferences, u, g)
     return _radial_block(u, g.rows, manifold.curvature_radius
                          if isinstance(manifold, Hyperbolic3) else None)
@@ -446,8 +441,6 @@ def heat_kernel_grid(manifold: ManifoldSpec, u, disp):
 
 def heat_kernel(manifold: ManifoldSpec, u: float, x, y) -> float:
     """Scalar heat kernel K_u(x, y) on the given manifold."""
-    if not u > 0:
-        raise DomainError("diffusion time must be positive")
     x = _check_point(manifold, x)
     y = _check_point(manifold, y)
     disp = pair_displacement(manifold, x[None, :], y[None, :])

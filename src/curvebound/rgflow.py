@@ -112,9 +112,12 @@ def ode_flow_values(lambda_mu: float, taus) -> np.ndarray:
     each side of tau = 1, with step h = min(1/256, 4 pi/(512 |lambda|)) at the
     current coupling, so a step never moves lambda by more than about 1/512
     of itself; the last step onto each target is shortened.  Raises
-    FlowPoleError when the march reaches the pole: the coupling turns
-    non-finite or the step falls below the resolution of s.
+    DomainError on a non-finite coupling, and FlowPoleError when the march
+    reaches the pole: the coupling turns non-finite or the step falls below
+    the resolution of s.
     """
+    if not math.isfinite(lambda_mu):
+        raise DomainError("flow needs a finite coupling")
     taus = np.asarray(taus, dtype=float)
     if not np.all((taus > 0) & (taus < math.inf)):
         raise DomainError("tau values must be positive and finite")

@@ -44,6 +44,9 @@ PAIR = {
 }
 
 
+TORUS = {"kind": "flat_torus3", "circumferences": [5.0, 5.0, 5.0]}
+
+
 def write(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -292,6 +295,42 @@ def test_cli_validate_skips_rg_invariance_below_flow_pole(tmp_path):
     assert payload["all_passed"] is True
 
 
+VALIDATE_ELSEWHERE = {
+    "torus": {"manifold": TORUS,
+              "curves": [{"shape": {"kind": "torus_loop", "winding": [1, 0, 0]}, "mu": 0.0}]},
+    "hyperbolic": {"manifold": {"kind": "hyperbolic3", "curvature_radius": 1.0},
+                   "curves": [{"shape": {"kind": "circle", "center": [x, 0, 3], "radius": 0.5},
+                               "mu": 0.0} for x in (0, 2)]},
+}
+
+
+@pytest.mark.parametrize("where", sorted(VALIDATE_ELSEWHERE))
+def test_cli_validate_off_euclidean_space(tmp_path, where):
+    # the four flat-space checks skip; the hyperbolic probe points and every
+    # other check run and pass
+    doc = dict(MINIMAL, task={"kind": "validate"}, **VALIDATE_ELSEWHERE[where])
+    out = tmp_path / "o"
+    assert main(["validate", "--config", write(tmp_path, doc), "--out", str(out)]) == 0
+    payload = json.loads((out / "validate.json").read_text())
+    statuses = {c["name"]: c["status"] for c in payload["checks"]}
+    skipped = {"yukawa_anchor", "oracle_equivalence", "band_envelope", "rg_invariance"}
+    assert {name for name, status in statuses.items() if status == "skip"} == skipped
+    assert len(statuses) == 10
+    assert all(statuses[name] == "pass" for name in statuses.keys() - skipped)
+    assert payload["all_passed"] is True
+
+
+def test_cli_exit_code_on_convergence_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(PAIR))
+    doc["curves"][1]["shape"]["center"] = [3, 0, 0]
+    doc["quadrature"] = {"u_nodes": 16, "rel_tol": 1e-300, "abs_tol": 1e-300}
+    doc["task"] = {"kind": "solve"}
+    out = tmp_path / "o"
+    assert main(["solve", "--config", write(tmp_path, doc), "--out", str(out)]) == 3
+    assert "quadrature did not converge" in capsys.readouterr().err
+    assert not (out / "solve.json").exists()
+
+
 def test_validate_phi_checks_each_report_a_convergence_error():
     from curvebound.validate import run_validation_suite
 
@@ -384,7 +423,6 @@ def _doc(**changes):
     return doc
 
 
-TORUS = {"kind": "flat_torus3", "circumferences": [5.0, 5.0, 5.0]}
 SCAN = {"kind": "scan", "E_min": -0.9, "E_max": -0.1, "points": 3}
 FLOW = {"kind": "flow", "lambda_R": 1.0, "tau_min": 0.5, "tau_max": 2.0, "points": 3}
 

@@ -19,7 +19,6 @@ from curvebound.manifolds import (
     POISSON_SWITCH,
     ROW_SCALE_EXPONENT,
     _log_sinh_ratio,
-    _sinh_ratio,
     heat_kernel_grid,
     kernel_geometry,
     pair_displacement,
@@ -165,7 +164,7 @@ def test_heat_kernel_grid_in_place_matches_its_formula():
         b_u = np.where(scaled, 0.0, b_u)
         euclid = np.exp(np.hstack([a_u, b_u]) @ np.vstack([d**2, ones])) * scale
         hyperbolic = np.exp(np.hstack([a_u, b_u - u / a**2, np.ones_like(u)])
-                            @ np.vstack([d**2, ones, np.log(_sinh_ratio(d / a))])) * scale
+                            @ np.vstack([d**2, ones, _log_sinh_ratio(d / a)])) * scale
         np.testing.assert_array_equal(heat_kernel_grid(Euclidean3(), u[:, 0], d), euclid)
         np.testing.assert_array_equal(heat_kernel_grid(Hyperbolic3(a), u[:, 0], d), hyperbolic)
 
@@ -245,6 +244,19 @@ def test_nan_diffusion_time_is_a_domain_error():
     assert circle_heat_kernel(math.inf, 0.3, L) == 1.0 / L
 
 
+@pytest.mark.parametrize("u", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("manifold", [Euclidean3(), Hyperbolic3(1.0), FlatTorus3((1.0, 2.0, 3.0))],
+                         ids=["euclidean", "hyperbolic", "torus"])
+def test_heat_kernel_grid_rejects_a_non_positive_diffusion_time(manifold, u):
+    # a radial block of such a u is NaN, with a floating-point warning at
+    # u <= 0 and without one at u = NaN
+    disp = pair_displacement(manifold, [[0.0, 0.0, 1.0]], [[0.1, 0.0, 1.0]])
+    with pytest.raises(DomainError):
+        heat_kernel_grid(manifold, np.array([0.5, u]), disp)
+    with pytest.raises(DomainError):
+        heat_kernel_grid(manifold, np.array([u]), kernel_geometry(manifold, disp))
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_manifold_lengths_must_be_finite(bad):
     # heat_kernel returned NaN on either manifold once it was accepted
@@ -289,6 +301,8 @@ def test_circle_kernel_truncation_matches_full_series(L):
         check(circle_heat_kernel(u[lo:lo + 7, None], xi, L), ref[lo:lo + 7], scale[lo:lo + 7])
     check(circle_heat_kernel(u[:, None], xi, L), ref, scale)  # straddles the switch
     assert u[0] < switch <= u[-1]
+    for b in range(0, len(xi), 20):  # u along the last axis: a row per element
+        check(circle_heat_kernel(u, float(xi[b]), L), ref[:, b], scale[:, b])
     for a in range(0, len(u), 50):
         for b in range(0, len(xi), 20):
             got = circle_heat_kernel(float(u[a]), float(xi[b]), L)

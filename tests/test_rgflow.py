@@ -20,6 +20,14 @@ from curvebound.quadrature import _gauss_laguerre, _leggauss
 FOUR_PI = 4.0 * math.pi
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_ode_flow_rejects_a_non_finite_coupling_as_a_domain_error(lam):
+    # a pole error would name a pole that does not exist (tau = nan, or 1)
+    with pytest.raises(DomainError) as exc:
+        ode_flow_values(lam, [2.0])
+    assert not isinstance(exc.value, FlowPoleError)
+
+
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_beta_quadrature_matches_closed_form(lam):
     got = beta(lam)
