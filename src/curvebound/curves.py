@@ -1,9 +1,11 @@
 """Closed curves embedded in the model manifolds.
 
 Shapes are exact descriptions (circle, closed polyline, torus winding line);
-``resample_arclength`` turns one into a ``SampledCurve``: uniform arc-length
-nodes with periodic-trapezoid weights plus the derived geometry the solver
-needs (length, curvature bound, near-diagonal window, self-distance).
+``resample_arclength`` turns one into a ``SampledCurve``: a quadrature rule on
+arc length (uniform nodes with periodic-trapezoid weights) plus the derived
+geometry the solver needs (length, curvature bound, near-diagonal window,
+self-distance).  The solver reads the rule, nodes and weights, from the
+curve and does not assume it is uniform; ``SampledCurve`` validates it.
 
 The window half-width delta = min(1/(4 kappa*), L/8) keeps kappa* delta <= 1/4,
 so inside the window the chord obeys  sqrt(1 - kappa* delta) xi <= d <= xi.
@@ -160,6 +162,10 @@ class _AffineEval:
 class SampledCurve:
     """Arc-length sampled closed curve with derived geometry.
 
+    nodes and weights are the curve's quadrature rule on arc length, and
+    points its embedded nodes; the solver reads all three.  The rule must
+    have one node, point (3d) and finite positive weight each, and weights
+    summing to length within 1e-12 relative (ValidationError otherwise).
     nodes, points, weights and the evaluator's arrays are read-only: the heat
     traces of a family are built once and reused, so its curves are immutable.
     """
@@ -175,6 +181,13 @@ class SampledCurve:
     evaluator: object = field(repr=False, default=None)
 
     def __post_init__(self):
+        n, w = np.size(self.nodes), self.weights
+        if not np.shape(self.nodes) == np.shape(w) == (n,) or np.shape(self.points) != (n, 3):
+            raise ValidationError("nodes, points and weights must give one (3d) point per node")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValidationError("quadrature weights must be finite and positive")
+        if not abs(float(np.sum(w)) - self.length) <= 1e-12 * self.length:
+            raise ValidationError("quadrature weights must sum to the curve length")
         _read_only(self.nodes, self.points, self.weights)
 
     def point_at(self, s):
@@ -355,6 +368,11 @@ class CurveFamily:
         return len(self.curves)
 
 
+def _node_pairs(a, b):
+    """The tensor of two node sets: every (a[k], b[l]) row pair, a's rows slowest."""
+    return np.repeat(a, len(b), axis=0), np.tile(b, (len(a),) + (1,) * (np.ndim(b) - 1))
+
+
 def family_geometry(
     curves: Sequence[SampledCurve],
     manifold: ManifoldSpec,
@@ -378,9 +396,7 @@ def family_geometry(
     d = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            pi, pj = curves[i].points, curves[j].points
-            ii, jj = np.meshgrid(np.arange(len(pi)), np.arange(len(pj)), indexing="ij")
-            disp = pair_displacement(manifold, pi[ii.ravel()], pj[jj.ravel()])
+            disp = pair_displacement(manifold, *_node_pairs(curves[i].points, curves[j].points))
             dij = float(np.min(displacement_distance(manifold, disp)))
             if dij <= 0:
                 raise ValidationError(f"curves {i} and {j} are not disjoint")

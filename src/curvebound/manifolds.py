@@ -356,7 +356,7 @@ def circle_heat_kernel(u, xi, L):
     xi_arr = np.asarray(xi, dtype=float)
     if not np.all(u_arr > 0):
         raise DomainError("diffusion time must be positive")
-    if u_arr.ndim and u_arr.shape[-1] > 1:  # u varies along the last axis: a row per element
+    if u_arr.ndim and u_arr.shape[-1] != 1:  # u varies along the last axis: a row per element
         return circle_heat_kernel(u_arr[..., None], xi_arr[..., None], L)[..., 0]
     shape = np.broadcast_shapes(u_arr.shape, xi_arr.shape)
     u_rows = np.broadcast_to(u_arr, shape[:-1] + (1,)).reshape(-1)

@@ -10,11 +10,14 @@ the difference kernel G(mu_i) - G(E) for the bound-state prescription, or the
 intrinsic-circle counterterm combination at scale mu for the flow
 prescription.  Off-diagonal blocks need no subtraction.
 
-The (s, s') double integral is reduced to an outer arc node and an inner
-relative coordinate xi; the inner integral splits at the curve's window
-half-width delta into a log-adapted band (xi = delta e^{-w}, which tames the
-log(1/xi) coincidence growth) and geometric far panels.  Homogeneous curves
-(circles, torus winding lines) need a single outer node; the isometry group
+Each (s, s') double integral is one pair rule (_pair_rule), built from the
+curves' own quadrature rules (SampledCurve nodes and weights).  Off the
+diagonal it is the tensor of both rules, weight w_a w_b / sqrt(L_i L_j).  On
+the diagonal it is the outer rule w_a / L_i times an inner relative
+coordinate xi; the inner integral splits at the curve's window half-width
+delta into a log-adapted band (xi = delta e^{-w}, which tames the log(1/xi)
+coincidence growth) and geometric far panels.  Homogeneous curves (circles,
+torus winding lines) need a single outer node of weight 1; the isometry group
 makes the inner integral position independent.
 
 Only the u-weight depends on the energy, so every entry of Phi(E), of
@@ -32,6 +35,7 @@ is therefore treated as immutable.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -40,7 +44,7 @@ from typing import Union
 import numpy as np
 
 from . import quadrature
-from .curves import CurveFamily, SampledCurve
+from .curves import CurveFamily, SampledCurve, _node_pairs
 from .manifolds import (
     DomainError,
     Euclidean3,
@@ -148,6 +152,25 @@ def _inner_grid(curve: SampledCurve, sw: SingWindowConfig):
             np.array([np.concatenate([wb, wf, wb, wf]), np.concatenate([wb, far, wb, far])]))
 
 
+def _pair_rule(ci: SampledCurve, cj: SampledCurve, sw: SingWindowConfig):
+    """Points x, y and coefficient columns of the (s, s') rule of curves ci, cj.
+
+    Off the diagonal: the tensor of both curves' rules, one column of weights
+    w_a w_b / sqrt(L_i L_j).  On the diagonal (cj is ci): the outer rule w_a / L
+    (one node of weight 1 on a homogeneous curve) times _inner_grid's whole
+    and band columns, the inner nodes at x(s_a + xi).
+    """
+    if ci is not cj:
+        wi, wj = _node_pairs(ci.weights / ci.length, cj.weights / cj.length)
+        return *_node_pairs(ci.points, cj.points), wi * wj * math.sqrt(ci.length * cj.length)
+    xi, cols = _inner_grid(ci, sw)
+    s, w = (ci.nodes[:1], np.ones(1)) if ci.homogeneous else (ci.nodes, ci.weights / ci.length)
+    x, _ = _node_pairs(ci.point_at(s), xi)
+    s, xi = _node_pairs(s, xi)
+    w, cols = _node_pairs(w, cols.T)
+    return x, ci.point_at(s + xi), (w[:, None] * cols).T
+
+
 # ---------------------------------------------------------------------------
 # heat traces of a family, contracted per energy
 
@@ -166,44 +189,32 @@ class _TraceStore:
 
     Built once per (family, manifold, cfg) and shared by every later call on
     that family, so a family is treated as immutable.  The store holds
-    geometry only: no energy, mu or prescription (its u-ladders follow the
-    family's mass), and no reference to the family, so it is freed together
-    with it.
+    geometry only (the family's curves and their traces): no energy, mu or
+    prescription (its u-ladders follow the family's mass), and no reference
+    to the family, so it is freed together with it.
 
-    Diagonal i: the kernel averaged over (outer node, inner xi) pairs with the
-    inner-grid weights, one column for the whole xi range and one for the
-    |xi| < delta band.  Off-diagonal (i, j): the kernel summed over the
-    periodic node tensor with weight sqrt(L_i L_j)/(n_i n_j).  Counterterm i,
-    created on first RGScale use: the intrinsic-circle kernel on the same xi
-    grid, contracted with erfcx(mu sqrt u)/(8 pi u), with an algebraic tail
-    panel since that weight decays only like u^{-3/2}.  Each trace evaluates
+    Pair (i, j), i <= j: the kernel summed over the pairs of _pair_rule with
+    its coefficients; a diagonal has one column for the whole xi range and
+    one for the |xi| < delta band.  Counterterm i, created on first RGScale
+    use: the intrinsic-circle kernel on the same xi grid, contracted with
+    erfcx(mu sqrt u)/(8 pi u), with an algebraic tail panel since that
+    weight decays only like u^{-3/2}.  Each trace evaluates
     its u-panels on first use and appends panels when a call needs a longer
     ladder; a call contracts exactly the ladder its own energies need.
     """
 
     def __init__(self, family: CurveFamily, manifold: ManifoldSpec, cfg: QuadratureConfig):
-        self.cfg = cfg
-        self.traces, self._grids, self._counter = {}, [], {}  # traces keyed (i, j), i <= j
-        for i, ci in enumerate(family.curves):
-            xi, cols = _inner_grid(ci, cfg.sing_window)
-            outer = ci.nodes[:1] if ci.homogeneous else ci.nodes
-            x = np.repeat(ci.point_at(outer), len(xi), axis=0)
-            disp = pair_displacement(manifold, x, ci.point_at((outer[:, None] + xi).ravel()))
-            coeffs = np.tile(cols, len(outer)) / len(outer)
-            self.traces[i, i] = _ambient_trace(manifold, disp, coeffs, cfg)
-            self._grids.append((xi, cols, ci.length))
-            for j in range(i + 1, len(family)):
-                cj = family.curves[j]
-                ni, nj = len(ci.nodes), len(cj.nodes)
-                disp = pair_displacement(manifold, np.repeat(ci.points, nj, axis=0),
-                                         np.tile(cj.points, (ni, 1)))
-                scale = np.full(ni * nj, math.sqrt(ci.length * cj.length) / (ni * nj))
-                self.traces[i, j] = _ambient_trace(manifold, disp, scale, cfg)
+        self.cfg, self._curves, self.traces, self._counter = cfg, family.curves, {}, {}
+        for i, j in itertools.combinations_with_replacement(range(len(family)), 2):
+            x, y, coeffs = _pair_rule(family.curves[i], family.curves[j], cfg.sing_window)
+            self.traces[i, j] = _ambient_trace(manifold, pair_displacement(manifold, x, y),
+                                               coeffs, cfg)
 
     def counterterm(self, i):
         """The RGScale counterterm trace of curve i (its xi grid and L do not depend on mu)."""
         if i not in self._counter:
-            xi, cols, L = self._grids[i]
+            xi, cols = _inner_grid(self._curves[i], self.cfg.sing_window)
+            L = self._curves[i].length
             self._counter[i] = _HeatTrace(
                 lambda u, xi: circle_heat_kernel(u[:, None], xi, L),
                 xi, np.abs(xi), cols, self.cfg, tail=True)
@@ -345,7 +356,8 @@ def family_fingerprint(family: CurveFamily, manifold: ManifoldSpec) -> str:
     h.update(np.asarray(family.mu, dtype=float).tobytes())
     h.update(np.float64(family.mass).tobytes())
     for c in family.curves:
-        h.update(np.asarray(c.points, dtype=float).tobytes())
+        for a in (c.points, c.nodes, c.weights):
+            h.update(np.asarray(a, dtype=float).tobytes())
     return h.hexdigest()[:16]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -114,6 +115,44 @@ def test_rescaled_circle():
     assert float(np.sum(half.weights)) == pytest.approx(half.length, rel=1e-12)
     # points shrink about the origin
     assert np.allclose(half.points, 0.5 * c.points, rtol=1e-14)
+
+
+def _one_weight(c, value):
+    return np.where(np.arange(len(c.weights)) == 3, value, c.weights)
+
+
+BROKEN_RULES = {  # the replace() fields of a 16-node curve with a broken rule
+    "short_weights": lambda c: {"weights": c.weights[:-1]},
+    "short_nodes": lambda c: {"nodes": c.nodes[:-1]},
+    "short_points": lambda c: {"points": c.points[:-1]},
+    "planar_points": lambda c: {"points": c.points[:, :2]},
+    "nodes_as_column": lambda c: {"nodes": c.nodes[:, None]},
+    "zero_weight": lambda c: {"weights": _one_weight(c, 0.0)},
+    "negative_weight": lambda c: {"weights": c.weights * np.r_[-1.0, 3.0, np.ones(14)]},
+    "nan_weight": lambda c: {"weights": _one_weight(c, np.nan)},
+    "inf_weight": lambda c: {"weights": _one_weight(c, np.inf)},
+    "weights_off_length": lambda c: {"weights": c.weights * (1.0 + 1e-9)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_RULES))
+def test_sampled_curve_rejects_a_broken_rule(name):
+    c = resample_arclength(Circle(center=(0, 0, 0), radius=1.0, normal=(0, 0, 1)), 16)
+    with pytest.raises(ValidationError):
+        dataclasses.replace(c, **BROKEN_RULES[name](c))
+
+
+@pytest.mark.parametrize("n", [8, 17, 100, 193])
+def test_resampled_and_rescaled_rules_pass_the_check(n):
+    poly = ParametricSamples(((0, 0, 0), (1.3, 0, 0), (1.1, 0.9, 0.2), (0, 1.7, 0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        curves = [resample_arclength(poly, n),
+                  resample_arclength(Circle(center=(1, 2, 3), radius=0.3), n)]
+    for c in curves:
+        for f in (1e-3, 0.37, 1.0, 7.9e3):
+            scaled = c.rescaled(f)
+            assert dataclasses.replace(scaled).length == scaled.length
 
 
 def test_torus_loop_geometry():

@@ -48,7 +48,7 @@ from curvebound import (
 )
 from curvebound import principal, quadrature
 from curvebound.manifolds import circle_heat_kernel, displacement_distance, heat_kernel_grid
-from curvebound.principal import _counterterm_weight, _inner_grid, _trace_store
+from curvebound.principal import _counterterm_weight, _inner_grid, _pair_rule, _trace_store
 from curvebound.quadrature import (
     BOUNDARY_LAYER,
     DEFAULT_QUADRATURE,
@@ -220,20 +220,11 @@ def _circles(manifold, centers, radius, mus):
     return family_geometry(curves, manifold, mus)
 
 
-def _diagonal_pairs(curve, manifold):
-    """(displacements, [whole, band] coefficients) of every (outer node, xi) pair."""
-    xi, cols = _inner_grid(curve, DEFAULT_QUADRATURE.sing_window)
-    outer = curve.nodes[:1] if curve.homogeneous else curve.nodes
-    disp = pair_displacement(manifold, np.repeat(curve.point_at(outer), len(xi), axis=0),
-                             curve.point_at((outer[:, None] + xi).ravel()))
-    return disp, np.tile(cols, len(outer)) / len(outer)
-
-
-def _offdiagonal_pairs(ci, cj, manifold):
-    ni, nj = len(ci.nodes), len(cj.nodes)
-    disp = pair_displacement(manifold, np.repeat(ci.points, nj, axis=0),
-                             np.tile(cj.points, (ni, 1)))
-    return disp, np.full((1, ni * nj), math.sqrt(ci.length * cj.length) / (ni * nj))
+def _rule_pairs(ci, cj, manifold):
+    """(displacements, coefficient columns) of the pair rule of curves ci, cj
+    (cj is ci on a diagonal)."""
+    x, y, coeffs = _pair_rule(ci, cj, DEFAULT_QUADRATURE.sing_window)
+    return pair_displacement(manifold, x, y), np.atleast_2d(coeffs)
 
 
 PRUNING_CASES = {
@@ -263,11 +254,10 @@ def test_pruned_traces_match_all_pairs(name):
 
     checks = []  # (trace, all-pairs kernel(u), coefficients, weight, ladder's e_max)
     for (i, j), trace in store.traces.items():
+        disp, coeffs = _rule_pairs(curves[i], curves[j], manifold)
         if i != j:
-            disp, coeffs = _offdiagonal_pairs(curves[i], curves[j], manifold)
             weight, e_max = minus_plain, abs(E)
         else:
-            disp, coeffs = _diagonal_pairs(curves[i], manifold)
             weight = minus_plain if rg else (
                 lambda u, mu=family.mu[i]: weight_renormalized(u, E, mu, 1.0))
             e_max = abs(E) if rg else max(abs(E), abs(family.mu[i]))
@@ -294,7 +284,7 @@ def test_polyline_kernel_work_skips_pairs_below_their_floor(kernel_counter):
     assemble(family, E)
     evaluated = kernel_counter[0]
     trace = _trace_store(family, EUCLID, DEFAULT_QUADRATURE).traces[0, 0]
-    pairs = len(_diagonal_pairs(family.curves[0], EUCLID)[0])
+    pairs = len(_rule_pairs(family.curves[0], family.curves[0], EUCLID)[0])
     u_nodes = sum(len(u) for u, _, _ in trace.rules(1.0, abs(E)))
     assert 0 < evaluated <= 0.35 * pairs * u_nodes
 
@@ -357,7 +347,7 @@ def test_assemble_then_derivative_evaluates_each_kernel_node_once(kernel_counter
     # full- and half-rule node times the pairs above their own floor, or times
     # PROXY_NODES where all pairs are active and D1 - D0 <= PROXY_SPREAD a
     cfg = DEFAULT_QUADRATURE
-    d = np.sort(_diagonal_pairs(family.curves[0], EUCLID)[0])
+    d = np.sort(_rule_pairs(family.curves[0], family.curves[0], EUCLID)[0])
     d2 = d * d
     breaks = u_panel_breaks(float(d[0]), 1.0, max(abs(E), abs(family.mu[0])), cfg)
     nodes = cfg.u_nodes + max(8, cfg.u_nodes // 2)
@@ -385,9 +375,7 @@ def test_proxy_panel_matches_all_pairs_at_the_threshold(name, kernel_counter):
     # sum over all pairs, from one kernel call on PROXY_NODES pairs
     make, manifold, (i, j) = PROXY_CASES[name]
     family = make()
-    ci, cj = family.curves[i], family.curves[j]
-    disp, coeffs = (_diagonal_pairs(ci, manifold) if i == j
-                    else _offdiagonal_pairs(ci, cj, manifold))
+    disp, coeffs = _rule_pairs(family.curves[i], family.curves[j], manifold)
     d2 = displacement_distance(manifold, disp) ** 2
     a = (d2.max() - d2.min()) / PROXY_SPREAD
     full, half = ((a + 1.5 * a * (x + 1.0), 1.5 * a * w) for x, w in map(_leggauss, (24, 12)))

@@ -244,6 +244,13 @@ def test_nan_diffusion_time_is_a_domain_error():
     assert circle_heat_kernel(math.inf, 0.3, L) == 1.0 / L
 
 
+def test_circle_kernel_of_no_diffusion_times_is_an_empty_block():
+    L = 2.0 * math.pi
+    assert circle_heat_kernel(np.ones(0), 0.3, L).shape == (0,)
+    assert circle_heat_kernel(np.ones(0), np.ones(0), L).shape == (0,)
+    assert circle_heat_kernel(np.ones((0, 1)), np.ones(5), L).shape == (0, 5)
+
+
 @pytest.mark.parametrize("u", [0.0, -1.0, math.nan])
 @pytest.mark.parametrize("manifold", [Euclidean3(), Hyperbolic3(1.0), FlatTorus3((1.0, 2.0, 3.0))],
                          ids=["euclidean", "hyperbolic", "torus"])

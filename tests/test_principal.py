@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from curvebound import (
     DomainError,
     Euclidean3,
     MinimalBoundState,
+    ParametricSamples,
     QuadratureConfig,
     RGScale,
     assemble,
@@ -16,7 +19,8 @@ from curvebound import (
     family_geometry,
     resample_arclength,
 )
-from curvebound.principal import family_fingerprint, rg_assemble
+from curvebound.principal import _inner_grid, family_fingerprint, rg_assemble
+from curvebound.quadrature import DEFAULT_QUADRATURE, pair_kernel_plain, pair_kernel_renormalized
 
 from conftest import circle_family
 
@@ -135,12 +139,54 @@ def test_band_contribution_recorded(single_family):
     assert 0 < M.band_contributions[0] < M.entries[0, 0]
 
 
+def _graded(curve, a=0.5):
+    """The curve on the non-uniform periodic rule s = t - (aL/2pi) sin(2pi t/L),
+    w = (L/n)(1 - a cos(2pi t/L)) over uniform t, its points from point_at."""
+    L, n = curve.length, len(curve.nodes)
+    t = 2.0 * math.pi * np.arange(n) / n
+    s = (L / (2.0 * math.pi)) * (t - a * np.sin(t))
+    return dataclasses.replace(curve, nodes=s, points=curve.point_at(s),
+                               weights=(L / n) * (1.0 - a * np.cos(t)))
+
+
 def test_fingerprint_stability_and_sensitivity(single_family):
     f1 = family_fingerprint(single_family, EUCLID)
     f2 = family_fingerprint(single_family, EUCLID)
     assert f1 == f2 and len(f1) == 16
     other = circle_family([10.0], mus=[0.0, 0.1])
     assert family_fingerprint(other, EUCLID) != f1
+    # the same points on other quadrature rules
+    c = single_family.curves[0]
+    graded = _graded(c)
+    prints = {family_fingerprint(family_geometry([r], EUCLID, [0.0]), EUCLID)
+              for r in (dataclasses.replace(c, weights=graded.weights), graded)}
+    assert len(prints | {f1}) == 3
+
+
+def test_offdiagonal_entry_follows_each_curves_rule():
+    E = -0.5
+    ci, cj = (_graded(resample_arclength(Circle(center=(x, 0, 0), radius=1.0), 16))
+              for x in (0.0, 2.5))
+    M = assemble(family_geometry([ci, cj], EUCLID, [0.1, -0.2]), E)
+    ref = -sum(wa * wb * pair_kernel_plain(E, xa, yb, 1.0).value
+               for xa, wa in zip(ci.points, ci.weights)
+               for yb, wb in zip(cj.points, cj.weights)) / math.sqrt(ci.length * cj.length)
+    assert M.entries[0, 1] == pytest.approx(ref, rel=1e-9)
+
+
+def test_diagonal_entry_follows_the_curves_outer_rule():
+    E, mu = -0.6, -0.3
+    th = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+    pts = np.stack([1.2 * np.cos(th), 0.8 * np.sin(th), 0.12 * np.sin(3.0 * th)], axis=1)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="only .* nodes per delta window")
+        c = _graded(resample_arclength(ParametricSamples(tuple(map(tuple, pts))), 8))
+    xi, cols = _inner_grid(c, DEFAULT_QUADRATURE.sing_window)
+    ref = sum(wa * cols[0] @ [pair_kernel_renormalized(E, mu, xa, y, 1.0).value
+                              for y in c.point_at(sa + xi)]
+              for sa, wa, xa in zip(c.nodes, c.weights, c.points)) / c.length
+    M = assemble(family_geometry([c], EUCLID, [mu]), E)
+    assert M.entries[0, 0] == pytest.approx(ref, rel=1e-9)
 
 
 def test_assemble_rejects_energy_outside_window(single_family):
