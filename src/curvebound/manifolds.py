@@ -15,15 +15,18 @@ with a Poisson-resummed image form used below the switch point, so both the
 u -> 0 and u -> infinity regimes converge with a handful of terms;
 _circle_rows evaluates it for the torus axes and circle_heat_kernel alike.
 
-heat_kernel_grid works in two stages: kernel_geometry holds what depends on
-the pairs alone (a heat trace builds it once), and each call on a u grid
-forms the block from it.
+heat_kernel_grid forms a block from two factors: kernel_geometry holds what
+depends on the pairs alone (a heat trace builds it once), kernel_rows what
+depends on u alone (a heat trace builds it once per ladder extension, over
+all its new panels), and each call on a slice of the rows and a prefix of
+the geometry is their product, exponentiated in place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -180,7 +183,8 @@ class KernelGeometry:
     cos(2 pi n xi/L) for n = 1.._mode_count(switch), the one row of
     separations that _circle_rows takes for every u.  geometry[:k] is the
     geometry of the first k pairs; np.shape counts pairs, as for a
-    displacement batch.
+    displacement batch.  A heat trace builds one, in its own distance order,
+    before its first panel, and passes a prefix of it per u-panel.
     """
 
     rows: np.ndarray
@@ -192,8 +196,9 @@ class KernelGeometry:
         return self.rows.shape[1:]
 
     def __getitem__(self, prefix):
-        return KernelGeometry(*(None if a is None else a[..., prefix]
-                                for a in (self.rows, self.xi, self.cosines)))
+        if self.xi is None:
+            return KernelGeometry(self.rows[:, prefix])
+        return KernelGeometry(self.rows[:, prefix], self.xi[:, prefix], self.cosines[:, :, prefix])
 
 
 def kernel_geometry(manifold: ManifoldSpec, disp) -> KernelGeometry:
@@ -223,26 +228,97 @@ EXP_SUBNORMAL = 708.0
 # rounding of the exponent and of the wrapped separation
 EXP_UNDERFLOW = 750.0
 
+# np.exp overflows above about 709.78: the row factor (4 pi u)^{-3/2} = e^b
+# is finite for b <= EXP_OVERFLOW (u above about 3e-207); below that u, b
+# stays in the exponent, where any d > 0 takes the kernel to 0
+EXP_OVERFLOW = 709.0
 
-def _radial_block(u, rows, a=None, out=None):
-    """exp(a(u) d^2 + b(u) (+ log(rho/sinh rho))), a = -1/(4u) and
-    b = -(3/2) log(4 pi u) (- u/a^2 on Hyperbolic3): one (nu x r) @ (r x npairs)
-    product, exponentiated in place.  On rows with -(3/2) log(4 pi u) >
-    ROW_SCALE_EXPONENT, (4 pi u)^{-3/2} is a row factor instead."""
-    col = np.ones((u.shape[0], rows.shape[0]))
-    col[:, 0] = -0.25 / u
+
+@dataclass(frozen=True, eq=False)
+class KernelRows:
+    """The pair-independent factors of a kernel block, a row per diffusion time u.
+
+    The u-side twin of KernelGeometry.  cols holds the exponent columns
+    a(u) = -1/(4u) and b(u) = -(3/2) log(4 pi u) (- u/a^2 on Hyperbolic3,
+    followed by a column of ones for its log(rho/sinh rho) row), so that
+    cols @ geometry.rows is the exponent of the block.  On rows with
+    ROW_SCALE_EXPONENT < -(3/2) log(4 pi u) <= EXP_OVERFLOW, (4 pi u)^{-3/2}
+    is the row factor scale instead of a term of b (every such factor
+    exceeds e^10, and the other rows carry 1); scale is None when no row is
+    scaled.  On FlatTorus3 only u is held: the torus block orders and splits
+    its rows per call.  rows[i:j] is the KernelRows of u[i:j], with a scale
+    only if one of its own rows is scaled; np.size, np.shape and np.asarray
+    see u.  A heat trace builds one per ladder extension, over the nodes of
+    all its new panels, and passes a slice of it per u-panel.
+    """
+
+    u: np.ndarray
+    cols: np.ndarray | None = None
+    scale: np.ndarray | None = None
+
+    @property
+    def size(self):
+        return self.u.size
+
+    @property
+    def shape(self):
+        return self.u.shape
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.u, dtype=dtype, copy=copy)
+
+    @cached_property
+    def _scaled_before(self):
+        """The count of scaled rows before each row, and after the last."""
+        return [0, *np.cumsum(self.scale[:, 0] != 1.0).tolist()]
+
+    def __getitem__(self, rows: slice):
+        cols, scale = self.cols, self.scale
+        if scale is None:
+            return KernelRows(self.u[rows], None if cols is None else cols[rows])
+        i, j, _ = rows.indices(len(self.u))
+        before = self._scaled_before
+        return KernelRows(self.u[rows], cols[rows],
+                          scale[rows] if before[max(i, j)] > before[i] else None)
+
+
+def _radial_rows(u, a=None):
+    """The KernelRows of u on Euclidean3, or on Hyperbolic3 of curvature radius a."""
+    cols = np.ones((u.shape[0], 2 if a is None else 3))
+    cols[:, 0] = -0.25 / u
     four_pi_u = 4.0 * math.pi * u
-    b = col[:, 1]
+    b = cols[:, 1]
     b[:] = -1.5 * np.log(four_pi_u)
-    scaled = b > ROW_SCALE_EXPONENT
+    scaled = (b > ROW_SCALE_EXPONENT) & (b <= EXP_OVERFLOW)
     scale = np.where(scaled, four_pi_u, 1.0)[:, None] ** -1.5 if scaled.any() else None
     b[scaled] = 0.0
     if a is not None:
         b -= u / a**2
-    out = np.matmul(col, rows, out=out)
+    return KernelRows(u, cols, scale)
+
+
+def kernel_rows(manifold: ManifoldSpec, u) -> KernelRows:
+    """The KernelRows of a 1-d array of diffusion times: the one place where u is
+    checked, so a DomainError unless u is 1-d and every element is positive
+    (NaN is not)."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1:
+        raise DomainError("diffusion times must be a 1-d array")
+    if not u.min(initial=math.inf) > 0:  # a NaN fails it too
+        raise DomainError("diffusion time must be positive")
+    if isinstance(manifold, FlatTorus3):
+        return KernelRows(u)
+    return _radial_rows(u, manifold.curvature_radius if isinstance(manifold, Hyperbolic3) else None)
+
+
+def _radial_block(r: KernelRows, rows, out=None):
+    """The Euclidean or hyperbolic block of KernelRows r and KernelGeometry
+    rows: the one (nu x r) @ (r x npairs) product r.cols @ rows,
+    exponentiated in place and times r.scale, if any."""
+    out = np.matmul(r.cols, rows, out=out)
     np.exp(out, out=out)
-    if scale is not None:
-        out *= scale
+    if r.scale is not None:
+        out *= r.scale
     return out
 
 
@@ -401,13 +477,13 @@ def _torus_block(ls, u, g: KernelGeometry):
     flat = min(max(L * (L - 2.0 * xj) / (4.0 * GAUSSIAN_TAIL),
                    (L - xj) ** 2 / (4.0 * EXP_UNDERFLOW)) for L, xj in zip(ls, x))
     if u.max() < flat:
-        return _radial_block(u, g.rows, out=out)
+        return _radial_block(_radial_rows(u), g.rows, out=out)
     order = None if np.all(u[1:] >= u[:-1]) else np.argsort(u)
     if order is not None:
         u = u[order]
     flat = int(np.searchsorted(u, flat))
     if flat:
-        _radial_block(u[:flat], g.rows, out=out[:flat])
+        _radial_block(_radial_rows(u[:flat]), g.rows, out=out[:flat])
     rest = factor = out[flat:]
     for axis, (L, xj) in enumerate(zip(ls, x)):
         if axis == 1:
@@ -425,18 +501,16 @@ def _torus_block(ls, u, g: KernelGeometry):
 def heat_kernel_grid(manifold: ManifoldSpec, u, disp):
     """Kernel values on a (u grid) x (displacement batch) product.
 
-    u is (nu,); disp comes from pair_displacement, or is its KernelGeometry
-    (which a heat trace builds once and passes a prefix of per u-panel).
-    Returns (nu, npairs).
+    u is (nu,), or is its KernelRows (which a heat trace builds once per
+    ladder extension and passes a slice of per u-panel); disp comes from
+    pair_displacement, or is its KernelGeometry (which a heat trace builds
+    once and passes a prefix of per u-panel).  Returns (nu, npairs).
     """
-    u = np.asarray(u, dtype=float)
-    if not u.min(initial=math.inf) > 0:  # a NaN fails it too
-        raise DomainError("diffusion time must be positive")
+    r = u if isinstance(u, KernelRows) else kernel_rows(manifold, u)
     g = disp if isinstance(disp, KernelGeometry) else kernel_geometry(manifold, disp)
     if isinstance(manifold, FlatTorus3):
-        return _torus_block(manifold.circumferences, u, g)
-    return _radial_block(u, g.rows, manifold.curvature_radius
-                         if isinstance(manifold, Hyperbolic3) else None)
+        return _torus_block(manifold.circumferences, r.u, g)
+    return _radial_block(r, g.rows)
 
 
 def heat_kernel(manifold: ManifoldSpec, u: float, x, y) -> float:

@@ -30,7 +30,10 @@ boundary-layer floor applies per pair: the ladder starts at the closest
 pair's floor, and a pair at distance d enters the sum only on the panels
 that reach above its own floor d^2/160.  A trace appends panels when an
 energy needs a longer ladder, and each integral contracts exactly the
-ladder of its own energies.
+ladder of its own energies.  What the kernel block depends on is built once:
+the pair factors (manifolds.kernel_geometry) once per trace, the u factors
+(manifolds.kernel_rows) once per ladder extension, over the nodes of all its
+new panels; each panel is then one kernel call on its slice and prefix.
 
 On Euclidean3 and Hyperbolic3 a large-u panel needs far fewer than all the
 pairs: once every pair is active and the d^2 range [D0, D1] meets
@@ -58,6 +61,7 @@ from .manifolds import (
     displacement_distance,
     heat_kernel_grid,
     kernel_geometry,
+    kernel_rows,
     pair_displacement,
 )
 
@@ -336,17 +340,22 @@ class _HeatTrace:
     exactly that ladder (with its own tail panel), so a result never depends
     on which larger ladders were asked for before.  A trace serves one mass
     m.  geometry(disp) prepares the sorted displacements once, before the
-    first panel, kernel(u, geometry[:k]) returns the (len(u), k) kernel
-    block, and each new panel is one such call over the nodes of both rules;
-    a trace that is never contracted costs nothing.
+    first panel; rows(u) prepares the u nodes once per ladder extension, over
+    all its new panels (tail included), laid out panel-major with each
+    panel's full-rule nodes before its half-rule ones; kernel(rows[i:j],
+    geometry[:k]) returns the (j - i, k) kernel block, and each new panel is
+    one such call on its own slice of rows, over the nodes of both rules.
+    rows is np.asarray (plain u) unless given; a trace that is never
+    contracted costs nothing.
     """
 
     def __init__(self, kernel, disp, dist, coeffs, cfg: QuadratureConfig, tail=False,
-                 geometry=None):
+                 geometry=None, rows=np.asarray):
         order = np.argsort(dist, kind="stable")
         d = np.asarray(dist, dtype=float)[order]
         self._d_min, self._d2 = float(d[0]), d * d
         self._kernel, self._disp, self._geometry = kernel, np.asarray(disp)[order], geometry
+        self._rows = rows
         self._coeffs = np.atleast_2d(coeffs).T[order]
         self._cfg, self._tail = cfg, tail
         self._orders = (cfg.u_nodes, max(8, cfg.u_nodes // 2))
@@ -354,22 +363,25 @@ class _HeatTrace:
         self._rules = {}  # panel count -> the rules() of that ladder
         self._proxies = None  # (proxies, W) once a panel has used them
 
-    def _panel(self, nodes, k, a):
+    def _panel(self, nodes, k, a, rows=None):
         """((u, w, T) full, (u, w, T) half) of one panel from a, from a single
         kernel call over both rules' nodes, nodes = [(u, w) full, (u, w) half],
-        and the k closest pairs (or their proxies)."""
+        and the k closest pairs (or their proxies).  rows is rows(u) of those
+        nodes, the full rule's first; it is built here when not given."""
         (u_full, w_full), (u_half, w_half) = nodes
         if self._geometry is not None:
             self._disp, self._geometry = self._geometry(self._disp), None
-        u, g, d2 = np.concatenate([u_full, u_half]), self._disp, self._d2
+        if rows is None:
+            rows = self._rows(np.concatenate([u_full, u_half]))
+        g, d2 = self._disp, self._d2
         if (isinstance(g, KernelGeometry) and g.xi is None and k == len(d2) > PROXY_NODES
                 and 0.0 < d2[-1] - d2[0] <= PROXY_SPREAD * a):
             if self._proxies is None:
                 self._proxies = _chebyshev_proxies(g, self._coeffs)
             proxies, coeffs = self._proxies
-            trace = self._kernel(u, proxies) @ coeffs
+            trace = self._kernel(rows, proxies) @ coeffs
         else:
-            trace = self._kernel(u, g[:k]) @ self._coeffs[:k]
+            trace = self._kernel(rows, g if k == len(d2) else g[:k]) @ self._coeffs[:k]
         n = len(u_full)
         return (u_full, w_full, trace[:n]), (u_half, w_half, trace[n:])
 
@@ -381,17 +393,28 @@ class _HeatTrace:
         if n not in self._rules:
             held = len(self._panels)
             a, b = breaks[held:-1], breaks[held + 1:]
+            starts = a.tolist()
             active = np.searchsorted(self._d2, BOUNDARY_LAYER * b).tolist()
             # the (u, w) of every new panel per rule order, a row per panel
             nodes = [gauss_panels(a, b, q) for q in self._orders]
-            for p, (lo, k) in enumerate(zip(a.tolist(), active)):
-                self._panels.append(self._panel([(u[p], w[p]) for u, w in nodes], k, lo))
-            ladder = self._panels[:n]
-            if self._tail:
+            if self._tail:  # the ladder's own algebraic panel, after the new ones
                 u_top = breaks[-1]
-                tail = [(u_top / s**2, w * 2.0 * u_top / s**3)
-                        for s, w in (gauss_panels(0.0, 1.0, q) for q in self._orders)]
-                ladder = ladder + [self._panel(tail, len(self._d2), u_top)]
+                starts.append(u_top)
+                active.append(len(self._d2))
+                tail = (gauss_panels(0.0, 1.0, q) for q in self._orders)
+                nodes = [(np.vstack([u, u_top / s**2]), np.vstack([w, v * 2.0 * u_top / s**3]))
+                         for (u, w), (s, v) in zip(nodes, tail)]
+            new = []
+            if starts:
+                # one rows() call for the extension: panel-major, each panel's
+                # full-rule nodes, then its half-rule nodes
+                u_new = np.concatenate([u for u, _ in nodes], axis=1)
+                rows, width = self._rows(u_new.ravel()), u_new.shape[1]
+                new = [self._panel([(u[p], w[p]) for u, w in nodes], k, lo,
+                                   rows[p * width:(p + 1) * width])
+                       for p, (lo, k) in enumerate(zip(starts, active))]
+            self._panels += new[:len(a)]
+            ladder = self._panels[:n] + new[len(a):]
             self._rules[n] = [tuple(np.concatenate(x) for x in zip(*panels))
                               for panels in zip(*ladder)]
         return self._rules[n]
@@ -420,10 +443,12 @@ def _contract(rules, wu):
 
 def _ambient_trace(manifold: ManifoldSpec, disp, coeffs, cfg: QuadratureConfig):
     """_HeatTrace of the manifold's heat kernel over a pair_displacement batch,
-    whose KernelGeometry is built once, in the trace's distance order."""
+    whose KernelGeometry is built once, in the trace's distance order, and
+    whose KernelRows are built once per ladder extension."""
     return _HeatTrace(lambda u, g: heat_kernel_grid(manifold, u, g), disp,
                       displacement_distance(manifold, disp), coeffs, cfg,
-                      geometry=lambda d: kernel_geometry(manifold, d))
+                      geometry=lambda d: kernel_geometry(manifold, d),
+                      rows=lambda u: kernel_rows(manifold, u))
 
 
 # ---------------------------------------------------------------------------

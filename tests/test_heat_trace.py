@@ -507,6 +507,36 @@ def test_each_new_panel_is_one_kernel_call(kernel_counter, monkeypatch):
             held, made = panels, calls()
 
 
+def test_a_ladder_extension_builds_its_kernel_rows_once(kernel_counter, monkeypatch):
+    # what depends on u alone is built once per ladder extension, over the
+    # nodes of all its new panels, panel-major with each panel's full-rule
+    # nodes first; each panel is still one kernel call, on its own slice
+    built = []
+    original = quadrature.kernel_rows
+
+    def counted(manifold, u):
+        built.append(original(manifold, u))
+        return built[-1]
+
+    monkeypatch.setattr(quadrature, "kernel_rows", counted)
+    trace = _trace_store(_polyline_family(), EUCLID, DEFAULT_QUADRATURE).traces[0, 0]
+    full, half = DEFAULT_QUADRATURE.u_nodes, max(8, DEFAULT_QUADRATURE.u_nodes // 2)
+    held = 0
+    for e_max in (0.3, 0.9):  # a fresh ladder, then the panels a longer one adds
+        (u_full, _, _), (u_half, _, _) = trace.rules(1.0, e_max)
+        panels = len(u_full) // full
+        assert len(built) == 1 and kernel_counter[1] == panels - held > 0
+        rows = built.pop()
+        assert rows.size == np.size(rows) == (panels - held) * (full + half)
+        assert np.shape(rows) == (rows.size,)
+        u = np.asarray(rows).reshape(panels - held, full + half)
+        np.testing.assert_array_equal(u[:, :full].ravel(), u_full[held * full:])
+        np.testing.assert_array_equal(u[:, full:].ravel(), u_half[held * half:])
+        held, kernel_counter[1] = panels, 0
+    trace.rules(1.0, 0.3)  # a shorter ladder adds no panel
+    assert built == [] and kernel_counter[1] == 0
+
+
 def test_contraction_evaluates_the_weight_once(monkeypatch):
     # one call of each weight per trace on the nodes of both rules: a one-circle
     # diagonal is w_mu - w_E, so two weight_plain calls on built traces

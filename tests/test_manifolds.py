@@ -21,8 +21,12 @@ from curvebound.manifolds import (
     _log_sinh_ratio,
     heat_kernel_grid,
     kernel_geometry,
+    kernel_rows,
     pair_displacement,
 )
+
+MANIFOLDS = {"euclidean": Euclidean3(), "hyperbolic": Hyperbolic3(1.3),
+             "torus": FlatTorus3((4.0, 5.0, 6.0))}
 
 
 def test_euclid_coincidence_value():
@@ -262,6 +266,66 @@ def test_heat_kernel_grid_rejects_a_non_positive_diffusion_time(manifold, u):
         heat_kernel_grid(manifold, np.array([0.5, u]), disp)
     with pytest.raises(DomainError):
         heat_kernel_grid(manifold, np.array([u]), kernel_geometry(manifold, disp))
+
+
+@pytest.mark.parametrize("u", [1.0, [[0.5], [1.0]], [[0.5, 1.0]]], ids=["scalar", "column", "row"])
+@pytest.mark.parametrize("name", sorted(MANIFOLDS))
+def test_heat_kernel_grid_takes_a_1d_array_of_diffusion_times(name, u):
+    # a scalar u raised a bare IndexError and a 2-d u a broadcast ValueError
+    manifold = MANIFOLDS[name]
+    disp = pair_displacement(manifold, [[0.5, 0.5, 1.0]], [[1.5, 0.5, 1.0]])
+    with pytest.raises(DomainError, match="1-d"):
+        heat_kernel_grid(manifold, u, disp)
+    with pytest.raises(DomainError, match="1-d"):
+        kernel_rows(manifold, u)
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLDS))
+def test_kernel_at_a_vanishing_diffusion_time_is_zero(name):
+    # (4 pi u)^{-3/2} overflows below u ~ 3e-207: as a row factor it made
+    # 0 * inf = NaN, so there it stays in the exponent
+    manifold = MANIFOLDS[name]
+    x, y = np.array([0.5, 0.5, 1.0]), np.array([1.5, 0.5, 1.0])
+    disp = pair_displacement(manifold, x[None], y[None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in (1e-210, 1e-300):
+            assert heat_kernel(manifold, u, x, y) == 0.0
+        block = heat_kernel_grid(manifold, np.array([1e-300, 1e-210, 0.01, 1.0]), disp)
+    assert np.all(block[:2] == 0.0) and np.all(block[2:] > 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLDS))
+def test_kernel_rows_slices_match_rows_built_per_call(name):
+    # a heat trace builds the rows of a ladder extension once and passes a
+    # slice per u-panel: each slice is the rows of its own u, and its block
+    # is the block of rows built for that u alone, bit for bit.  u spans the
+    # row-scale switch (u ~ 1e-4), and on the torus the Euclidean, image and
+    # mode rows
+    manifold = MANIFOLDS[name]
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.5, 3.0, (40, 3))
+    disp = pair_displacement(manifold, X, X + rng.uniform(-1.5, 1.5, (40, 3)) * [1, 1, 0.1])
+    geometry = kernel_geometry(manifold, disp)
+    u = np.concatenate([np.geomspace(1e-7, 50.0, 48), np.geomspace(2e-5, 3e-4, 24)])
+    scaled = -1.5 * np.log(4.0 * math.pi * u) > ROW_SCALE_EXPONENT
+    assert scaled.any() and not scaled.all()
+    rows = kernel_rows(manifold, u)
+    assert rows.size == np.size(rows) == u.size and np.shape(rows) == u.shape
+    np.testing.assert_array_equal(np.asarray(rows), u)
+    assert np.asarray(rows, dtype=np.longdouble).dtype == np.longdouble
+    for i, j in ((0, 72), (0, 36), (36, 72), (10, 30), (30, 48), (48, 60), (70, 72), (5, 5)):
+        part, ref = rows[i:j], kernel_rows(manifold, u[i:j])
+        for field in ("u", "cols", "scale"):
+            got, want = getattr(part, field), getattr(ref, field)
+            assert (got is None) == (want is None), (i, j, field)
+            if want is not None:
+                np.testing.assert_array_equal(got, want)
+        for k in (40, 7):
+            np.testing.assert_array_equal(heat_kernel_grid(manifold, part, geometry[:k]),
+                                          heat_kernel_grid(manifold, u[i:j], disp[:k]))
+    if not isinstance(manifold, FlatTorus3):
+        assert rows[30:48].scale is None and rows[0:10].scale is not None
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
