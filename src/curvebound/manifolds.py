@@ -233,6 +233,11 @@ EXP_UNDERFLOW = 750.0
 # stays in the exponent, where any d > 0 takes the kernel to 0
 EXP_OVERFLOW = 709.0
 
+# -1/(4u) overflows for a subnormal u (below ~1.4e-309): there a(u) is
+# -1/(4 U_NORMAL) ~ -1.1e307, so every d^2 above 1e-303 still takes the
+# kernel to exactly 0, and d = 0 keeps e^b = +inf where -inf * 0 made NaN
+U_NORMAL = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True, eq=False)
 class KernelRows:
@@ -245,15 +250,16 @@ class KernelRows:
     ROW_SCALE_EXPONENT < -(3/2) log(4 pi u) <= EXP_OVERFLOW, (4 pi u)^{-3/2}
     is the row factor scale instead of a term of b (every such factor
     exceeds e^10, and the other rows carry 1); scale is None when no row is
-    scaled.  On FlatTorus3 only u is held: the torus block orders and splits
-    its rows per call.  rows[i:j] is the KernelRows of u[i:j], with a scale
-    only if one of its own rows is scaled; np.size, np.shape and np.asarray
-    see u.  A heat trace builds one per ladder extension, over the nodes of
-    all its new panels, and passes a slice of it per u-panel.
+    scaled.  On FlatTorus3 they are the Euclidean factors, for the rows on
+    which the torus block is the Euclidean block on |xi|^2; the block orders
+    and splits its rows per call.  rows[i:j] is the KernelRows of u[i:j],
+    with a scale only if one of its own rows is scaled; np.size, np.shape
+    and np.asarray see u.  A heat trace builds one per ladder extension, over
+    the nodes of all its new panels, and passes a slice of it per u-panel.
     """
 
     u: np.ndarray
-    cols: np.ndarray | None = None
+    cols: np.ndarray
     scale: np.ndarray | None = None
 
     @property
@@ -275,7 +281,7 @@ class KernelRows:
     def __getitem__(self, rows: slice):
         cols, scale = self.cols, self.scale
         if scale is None:
-            return KernelRows(self.u[rows], None if cols is None else cols[rows])
+            return KernelRows(self.u[rows], cols[rows])
         i, j, _ = rows.indices(len(self.u))
         before = self._scaled_before
         return KernelRows(self.u[rows], cols[rows],
@@ -285,7 +291,7 @@ class KernelRows:
 def _radial_rows(u, a=None):
     """The KernelRows of u on Euclidean3, or on Hyperbolic3 of curvature radius a."""
     cols = np.ones((u.shape[0], 2 if a is None else 3))
-    cols[:, 0] = -0.25 / u
+    cols[:, 0] = -0.25 / np.maximum(u, U_NORMAL)
     four_pi_u = 4.0 * math.pi * u
     b = cols[:, 1]
     b[:] = -1.5 * np.log(four_pi_u)
@@ -306,8 +312,6 @@ def kernel_rows(manifold: ManifoldSpec, u) -> KernelRows:
         raise DomainError("diffusion times must be a 1-d array")
     if not u.min(initial=math.inf) > 0:  # a NaN fails it too
         raise DomainError("diffusion time must be positive")
-    if isinstance(manifold, FlatTorus3):
-        return KernelRows(u)
     return _radial_rows(u, manifold.curvature_radius if isinstance(manifold, Hyperbolic3) else None)
 
 
@@ -463,13 +467,15 @@ def circle_heat_kernel(u, xi, L):
     return float(out) if out.ndim == 0 else out
 
 
-def _torus_block(ls, u, g: KernelGeometry):
+def _torus_block(ls, r: KernelRows, g: KernelGeometry):
     """FlatTorus3 kernel block: a product of circle kernels, one per axis.
 
     Per axis, _circle_rows fills the rows in ascending u on the geometry's
     one row of separations, with the largest |xi| of this call.  Rows on
-    which every axis keeps image 0 alone are the Euclidean block on |xi|^2.
+    which every axis keeps image 0 alone are the Euclidean block on |xi|^2,
+    from the Euclidean factors that r carries.
     """
+    u = r.u
     out = np.empty((u.shape[0], g.shape[0]))
     if not out.size:
         return out
@@ -477,13 +483,14 @@ def _torus_block(ls, u, g: KernelGeometry):
     flat = min(max(L * (L - 2.0 * xj) / (4.0 * GAUSSIAN_TAIL),
                    (L - xj) ** 2 / (4.0 * EXP_UNDERFLOW)) for L, xj in zip(ls, x))
     if u.max() < flat:
-        return _radial_block(_radial_rows(u), g.rows, out=out)
+        return _radial_block(r, g.rows, out=out)
     order = None if np.all(u[1:] >= u[:-1]) else np.argsort(u)
     if order is not None:
-        u = u[order]
+        r = KernelRows(u[order], r.cols[order], None if r.scale is None else r.scale[order])
+        u = r.u
     flat = int(np.searchsorted(u, flat))
     if flat:
-        _radial_block(_radial_rows(u[:flat]), g.rows, out=out[:flat])
+        _radial_block(r[:flat], g.rows, out=out[:flat])
     rest = factor = out[flat:]
     for axis, (L, xj) in enumerate(zip(ls, x)):
         if axis == 1:
@@ -509,7 +516,7 @@ def heat_kernel_grid(manifold: ManifoldSpec, u, disp):
     r = u if isinstance(u, KernelRows) else kernel_rows(manifold, u)
     g = disp if isinstance(disp, KernelGeometry) else kernel_geometry(manifold, disp)
     if isinstance(manifold, FlatTorus3):
-        return _torus_block(manifold.circumferences, r.u, g)
+        return _torus_block(manifold.circumferences, r, g)
     return _radial_block(r, g.rows)
 
 

@@ -35,13 +35,18 @@ the pair factors (manifolds.kernel_geometry) once per trace, the u factors
 (manifolds.kernel_rows) once per ladder extension, over the nodes of all its
 new panels; each panel is then one kernel call on its slice and prefix.
 
-On Euclidean3 and Hyperbolic3 a large-u panel needs far fewer than all the
-pairs: once every pair is active and the d^2 range [D0, D1] meets
-D1 - D0 <= PROXY_SPREAD a on a panel [a, b], e^{-d^2/4u} is within 1.1e-17
-relative of its interpolant at the PROXY_NODES = 16 Chebyshev points of
-[D0, D1], so T(u) is the kernel at 16 proxy pairs times fixed coefficients
-(the separable expansion of the fast Gauss transform).  FlatTorus3 traces
-and the counterterm's circle-kernel traces evaluate every active pair.
+On Euclidean3 and Hyperbolic3 a trace's closest pairs share one near band.
+On a panel [a, b], every pair with d^2 - D0 <= PROXY_SPREAD a (D0 the
+closest pair's d^2) has e^{-d^2/4u} within 1.1e-17 relative of its
+interpolant at the PROXY_NODES = 16 Chebyshev points of
+[D0, D0 + PROXY_SPREAD a], so their share of T(u) is the kernel at 16 proxy
+pairs times fixed coefficients (the separable expansion of the fast Gauss
+transform).  The band only grows, as the panels' a rises, and is built
+once per trace: each growth re-interpolates the old proxies and absorbs the
+new pairs alone.  Each panel is one kernel call on the proxies and the
+active pairs beyond the band; once the band holds every pair, on the 16
+proxies alone.  FlatTorus3 traces and the counterterm's circle-kernel
+traces evaluate every active pair.
 """
 
 from __future__ import annotations
@@ -71,20 +76,40 @@ _SQRT_PI = math.sqrt(math.pi)
 # distance d is negligible below that floor
 BOUNDARY_LAYER = 4.0 * GAUSSIAN_TAIL
 
-# Proxy panels.  A radial kernel depends on a pair through e^{h(d)} e^{-x/4u},
+# Near bands.  A radial kernel depends on a pair through e^{h(d)} e^{-x/4u},
 # x = d^2 (h = log(rho/sinh rho) on Hyperbolic3, else 0).  For u >= a,
 # f(x) = e^{-x/4u} is entire, and its interpolant at the PROXY_NODES = n
-# Chebyshev points of the first kind on the pairs' range [D0, D1] is off by at
-# most 2^{1-n} ((D1 - D0)/2)^n max|f^(n)|/n! (Trefethen, Approximation Theory
-# and Approximation Practice, SIAM 2013, ch. 11 and 15).  Relative to a pair's
-# own e^{-x/4u} >= e^{-D1/4u}, and with z = (D1 - D0)/(8u), that is at most
-# 2 (z/2)^n/n! e^{2z}: below 1.1e-17 for n = 16 wherever
-# D1 - D0 <= PROXY_SPREAD a, so z <= 1.  On such a panel the sum over all
-# pairs is the kernel at n proxy pairs times fixed coefficients, the
-# separable expansion of the fast Gauss transform (Greengard and Strain,
-# SIAM J. Sci. Stat. Comput. 12, 1991).
+# Chebyshev points of the first kind on a band [D0, D1] is off by at most
+# 2^{1-n} ((D1 - D0)/2)^n max|f^(n)|/n! there (Trefethen, Approximation
+# Theory and Approximation Practice, SIAM 2013, ch. 11 and 15).  Relative to
+# a pair's own e^{-x/4u} >= e^{-D1/4u}, and with z = (D1 - D0)/(8u), that is
+# at most 2 (z/2)^n/n! e^{2z}: below 1.1e-17 for n = 16 wherever
+# D1 - D0 <= PROXY_SPREAD a, so z <= 1.  A trace's band is
+# [D0, D0 + PROXY_SPREAD a_b], D0 its closest pair's d^2 and a_b the start
+# of the panel that last grew it; every later panel has u >= a_b, so the
+# bound holds for every pair in the band.  The band's share of T(u) is the
+# kernel at n proxy pairs times fixed coefficients W, the separable
+# expansion of the fast Gauss transform (Greengard and Strain, SIAM J. Sci.
+# Stat. Comput. 12, 1991).  Growing the band re-interpolates: the new W is
+# the new basis at the old proxies times the old W, plus the new basis at
+# the absorbed pairs times their coefficients.  The old band lies inside
+# the new one, and interpolation at n points reproduces every polynomial of
+# degree n - 1, the new basis functions included, so the grown W equals a
+# build from scratch over all the band's pairs, up to rounding; the basis
+# costs O(n x pairs) per trace, not per panel.
 PROXY_NODES = 16
 PROXY_SPREAD = 8.0
+
+# The fewest new pairs a growth of the near band absorbs, unless it absorbs
+# the last ones: a growth costs a basis over its new pairs and a fixed
+# ~25 us, which the kernel values it saves on later panels must pay back.
+# Measured on the benchmark's inprocess parts (12 jobs, seeds 77001 and
+# 140001, CPU time, best of 7 interleaved runs, 2-core x86 VM), gates 16,
+# 64, 128, 256, 512, 1024 took 9.20, 9.17, 9.18, 8.79, 9.26, 9.95 ms on
+# the polyline part (14.03 with growth only to all pairs), 17.2, 15.8,
+# 16.5, 15.7, 15.5, 15.9 ms on solve and 6.39, 6.26, 6.21, 5.82, 6.11,
+# 5.89 ms on hyperbolic.
+BAND_GROWTH = 256
 
 
 @dataclass(frozen=True)
@@ -285,30 +310,34 @@ def u_panel_breaks(d_min, m, e_max, cfg: QuadratureConfig):
     return u_floor * cfg.panel_ratio ** np.arange(n_panels + 1)
 
 
-def _chebyshev_proxies(geometry: KernelGeometry, coeffs):
-    """(proxies, W): PROXY_NODES proxy pairs at the Chebyshev points of the
-    d^2 range of a radial geometry (its columns sorted by d^2), and the
-    (PROXY_NODES x columns) coefficients that carry every pair's coefficients
-    onto them.
+# the n = PROXY_NODES Chebyshev points of the first kind on [-1, 1],
+# cos(theta_k), theta_k = (2k + 1) pi/(2n), and their barycentric weights
+# (-1)^k sin(theta_k)
+_THETA = (2.0 * np.arange(PROXY_NODES) + 1.0) * (math.pi / (2.0 * PROXY_NODES))
+_CHEBYSHEV_COS = np.cos(_THETA)
+_CHEBYSHEV_WEIGHTS = np.where(np.arange(PROXY_NODES) % 2, -1.0, 1.0) * np.sin(_THETA)
 
-    W = Lambda (c e^h), with Lambda[k, p] the barycentric Lagrange basis
-    function of proxy k at pair p's d^2 and h the Hyperbolic3
-    log(rho/sinh rho) row, folded in; the proxies carry h = 0.
+
+def _chebyshev_proxies(lo, hi, x, c):
+    """(nodes, W): the PROXY_NODES Chebyshev points of the first kind on
+    [lo, hi], and W = Lambda c, with Lambda[k, p] the barycentric Lagrange
+    basis function of node k at x[p], so that sum_p c[p] f(x[p]) is
+    sum_k W[k] f(nodes[k]) for every polynomial f of degree < PROXY_NODES.
+
+    Lambda[k, p] = (w_k/(x_p - node_k))/total_p, total_p = sum_k w_k/(x_p - node_k);
+    the division by total_p is made on c, a point at a node carries its c there.
     """
-    rows = geometry.rows
-    lo, hi = rows[0, 0], rows[0, -1]
-    angle = (2.0 * np.arange(PROXY_NODES) + 1.0) * (math.pi / (2.0 * PROXY_NODES))
-    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(angle)
-    diff = rows[0] - nodes[:, None]
-    exact = diff == 0.0
-    diff[exact] = 1.0
-    basis = (np.where(np.arange(PROXY_NODES) % 2, -1.0, 1.0) * np.sin(angle))[:, None] / diff
-    hit = exact.any(axis=0)
-    basis[:, hit] = exact[:, hit]
-    basis /= basis.sum(axis=0)
-    proxies = np.zeros((len(rows), PROXY_NODES))
-    proxies[0], proxies[1] = nodes, 1.0
-    return KernelGeometry(proxies), basis @ (coeffs * np.exp(rows[2:].sum(axis=0))[:, None])
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEBYSHEV_COS
+    w = _CHEBYSHEV_WEIGHTS
+    with np.errstate(divide="ignore", invalid="ignore"):  # x at a node: fixed below
+        inv = np.subtract(x, nodes[:, None])
+        np.divide(1.0, inv, out=inv)
+        total = w @ inv
+    hit = ~np.isfinite(total)
+    if not hit.any():
+        return nodes, w[:, None] * (inv @ (c / total[:, None]))
+    inv[:, hit], total[hit] = 0.0, 1.0
+    return nodes, w[:, None] * (inv @ (c / total[:, None])) + (x[hit] == nodes[:, None]) @ c[hit]
 
 
 class _HeatTrace:
@@ -330,10 +359,14 @@ class _HeatTrace:
     as the minimum image d (two per axis come near d while u < L_j^2/(4 pi)).
 
     A radial trace (a KernelGeometry without torus axes) of more than
-    PROXY_NODES pairs whose d^2 range [D0, D1] is not a point evaluates a
-    panel [a, b] that takes all pairs and meets D1 - D0 <= PROXY_SPREAD a on
-    its PROXY_NODES proxy pairs: kernel(u, proxies) @ W, built once, on the
-    first such panel (see PROXY_NODES for the error bound).
+    PROXY_NODES pairs evaluates the pairs of its near band on PROXY_NODES
+    proxy pairs (see PROXY_NODES for the error bound).  The band holds the
+    first j pairs, those with d^2 - D0 <= PROXY_SPREAD a_b; a panel from a
+    grows it (_grow_band) when its active pairs within PROXY_SPREAD a of D0
+    are BAND_GROWTH more than j, or are all the pairs.  The panel is then
+    one kernel call on the proxies and pairs j to k, the proxies stored in
+    the PROXY_NODES columns ahead of pair j, so a panel takes one slice of
+    the trace's columns and coefficients.
 
     The ladder grows on demand: rules(m, e_max) evaluates only the panels
     that the ladder for e_max has beyond those already held, and returns
@@ -361,27 +394,75 @@ class _HeatTrace:
         self._orders = (cfg.u_nodes, max(8, cfg.u_nodes // 2))
         self._panels = []  # ((u, w, T) full, (u, w, T) half) of each held panel
         self._rules = {}  # panel count -> the rules() of that ladder
-        self._proxies = None  # (proxies, W) once a panel has used them
+        self._pair0 = None  # the column of pair 0, once the geometry is built
+        self._band = 0  # the pairs in the near band
+        self._grow_at = (math.inf, 0.0)  # (k, d^2 - D0) from which a panel grows the band
+
+    def _grow_band(self, k, a):
+        """Absorb into the near band, on a panel from a with k active pairs,
+        the active pairs with d^2 - D0 <= PROXY_SPREAD a.
+
+        The new W is the basis on [D0, D0 + PROXY_SPREAD a] at the old
+        proxies times the old W, plus the basis at the absorbed pairs times
+        their coefficients (e^h folded in): a from-scratch build over the
+        band's pairs, to rounding (see PROXY_NODES).  The proxies take the
+        PROXY_NODES columns ahead of the first pair outside the band.
+        """
+        j = self._band
+        grown = min(k, int(self._spread.searchsorted(PROXY_SPREAD * a, side="right")))
+        rows, coeffs = self._disp.rows, self._coeffs
+        span = slice(j or PROXY_NODES, PROXY_NODES + grown)  # the old proxies and the new pairs
+        nodes, W = _chebyshev_proxies(self._d2[0], self._d2[0] + PROXY_SPREAD * a, rows[0, span],
+                                      coeffs[span] * np.exp(rows[2:, span].sum(axis=0))[:, None])
+        proxies = slice(grown, grown + PROXY_NODES)
+        rows[:, proxies] = 0.0
+        rows[0, proxies], rows[1, proxies], coeffs[proxies] = nodes, 1.0, W
+        self._band = grown
+        self._next_growth()
+
+    def _next_growth(self):
+        """Set _grow_at: a panel from a grows the band iff it has at least m
+        active pairs and pair m - 1 lies within PROXY_SPREAD a of D0, m the
+        band's pairs and BAND_GROWTH more, or all pairs if fewer."""
+        j, n = self._band, len(self._d2)
+        m = min(j + BAND_GROWTH, n)
+        self._grow_at = (m, self._spread[m - 1]) if j < n else (math.inf, 0.0)
+
+    def _prepare(self):
+        """Before the first panel: the geometry, and on a radial trace of more
+        than PROXY_NODES pairs PROXY_NODES free columns ahead of its pairs,
+        in the geometry and the coefficients, for the near band's proxies."""
+        if self._geometry is not None:
+            self._disp, self._geometry = self._geometry(self._disp), None
+        g, n = self._disp, len(self._d2)
+        self._pair0 = 0
+        if isinstance(g, KernelGeometry) and g.xi is None and not self._tail and n > PROXY_NODES:
+            self._pair0, self._spread = PROXY_NODES, self._d2 - self._d2[0]
+            padded = np.zeros((len(g.rows), PROXY_NODES + n))
+            padded[:, PROXY_NODES:] = g.rows
+            self._disp = KernelGeometry(padded)
+            self._coeffs = np.vstack([np.zeros((PROXY_NODES, self._coeffs.shape[1])),
+                                      self._coeffs])
+            self._next_growth()
 
     def _panel(self, nodes, k, a, rows=None):
         """((u, w, T) full, (u, w, T) half) of one panel from a, from a single
         kernel call over both rules' nodes, nodes = [(u, w) full, (u, w) half],
-        and the k closest pairs (or their proxies).  rows is rows(u) of those
-        nodes, the full rule's first; it is built here when not given."""
+        and the k closest pairs, those in the near band by its proxies.
+        Panels come in ascending order.  rows is rows(u) of those nodes, the
+        full rule's first; it is built here when not given."""
         (u_full, w_full), (u_half, w_half) = nodes
-        if self._geometry is not None:
-            self._disp, self._geometry = self._geometry(self._disp), None
+        if self._pair0 is None:
+            self._prepare()
         if rows is None:
             rows = self._rows(np.concatenate([u_full, u_half]))
-        g, d2 = self._disp, self._d2
-        if (isinstance(g, KernelGeometry) and g.xi is None and k == len(d2) > PROXY_NODES
-                and 0.0 < d2[-1] - d2[0] <= PROXY_SPREAD * a):
-            if self._proxies is None:
-                self._proxies = _chebyshev_proxies(g, self._coeffs)
-            proxies, coeffs = self._proxies
-            trace = self._kernel(rows, proxies) @ coeffs
-        else:
-            trace = self._kernel(rows, g if k == len(d2) else g[:k]) @ self._coeffs[:k]
+        if k >= self._grow_at[0] and PROXY_SPREAD * a >= self._grow_at[1]:
+            self._grow_band(k, a)
+        # the band's proxies, if any, then the active pairs beyond it
+        g, coeffs = self._disp, self._coeffs
+        first, end = self._band or self._pair0, self._pair0 + k
+        whole = first == 0 and end == len(coeffs)
+        trace = self._kernel(rows, g if whole else g[first:end]) @ coeffs[first:end]
         n = len(u_full)
         return (u_full, w_full, trace[:n]), (u_half, w_half, trace[n:])
 

@@ -47,13 +47,20 @@ from curvebound import (
     spectral_flow,
 )
 from curvebound import principal, quadrature
-from curvebound.manifolds import circle_heat_kernel, displacement_distance, heat_kernel_grid
+from curvebound.manifolds import (
+    circle_heat_kernel,
+    displacement_distance,
+    heat_kernel_grid,
+    kernel_geometry,
+)
 from curvebound.principal import _counterterm_weight, _inner_grid, _pair_rule, _trace_store
 from curvebound.quadrature import (
+    BAND_GROWTH,
     BOUNDARY_LAYER,
     DEFAULT_QUADRATURE,
     PROXY_NODES,
     PROXY_SPREAD,
+    _chebyshev_proxies,
     _leggauss,
     u_panel_breaks,
     weight_plain,
@@ -344,20 +351,24 @@ def test_assemble_then_derivative_evaluates_each_kernel_node_once(kernel_counter
     assemble(family, E)
     derivative_matrix(family, E)
     # one diagonal trace, on the ladder both calls need: on each panel, every
-    # full- and half-rule node times the pairs above their own floor, or times
-    # PROXY_NODES where all pairs are active and D1 - D0 <= PROXY_SPREAD a
+    # full- and half-rule node times the k pairs above their own floor, the j
+    # of the near band by its PROXY_NODES proxies.  A panel from a grows the
+    # band to the active pairs with d^2 - D0 <= PROXY_SPREAD a once that
+    # adds BAND_GROWTH pairs or the last ones
     cfg = DEFAULT_QUADRATURE
     d = np.sort(_rule_pairs(family.curves[0], family.curves[0], EUCLID)[0])
     d2 = d * d
     breaks = u_panel_breaks(float(d[0]), 1.0, max(abs(E), abs(family.mu[0])), cfg)
     nodes = cfg.u_nodes + max(8, cfg.u_nodes // 2)
-    expected, proxy_panels = 0, 0
+    expected, j, part_band_panels = 0, 0, 0
     for a, b in zip(breaks[:-1], breaks[1:]):
         k = int(np.searchsorted(d2, BOUNDARY_LAYER * b))
-        proxy = k == len(d2) and d2[-1] - d2[0] <= PROXY_SPREAD * a
-        proxy_panels += proxy
-        expected += nodes * (PROXY_NODES if proxy else k)
-    assert 0 < proxy_panels < len(breaks) - 1
+        grown = min(k, int(np.count_nonzero(d2 - d2[0] <= PROXY_SPREAD * a)))
+        if grown - j >= BAND_GROWTH or grown == len(d2) > j:
+            j = grown
+        part_band_panels += 0 < j < k
+        expected += nodes * ((PROXY_NODES if j else 0) + k - j)
+    assert part_band_panels > 0 and j == len(d2)
     assert kernel_counter[0] == expected
 
 
@@ -378,36 +389,130 @@ def test_proxy_panel_matches_all_pairs_at_the_threshold(name, kernel_counter):
     disp, coeffs = _rule_pairs(family.curves[i], family.curves[j], manifold)
     d2 = displacement_distance(manifold, disp) ** 2
     a = (d2.max() - d2.min()) / PROXY_SPREAD
-    full, half = ((a + 1.5 * a * (x + 1.0), 1.5 * a * w) for x, w in map(_leggauss, (24, 12)))
-    full = (np.concatenate([[a], full[0]]), np.concatenate([[0.0], full[1]]))
+    nodes = _threshold_nodes(a)
     trace = _trace_store(family, manifold, DEFAULT_QUADRATURE).traces[i, j]
-    got = trace._panel([full, half], len(d2), a)
-    assert kernel_counter == [PROXY_NODES * (len(full[0]) + len(half[0])), 1]
-    for (u, _), (_, _, t) in zip([full, half], got):
+    got = trace._panel(nodes, len(d2), a)
+    assert kernel_counter == [PROXY_NODES * sum(len(u) for u, _ in nodes), 1]
+    for (u, _), (_, _, t) in zip(nodes, got):
         ref = heat_kernel_grid(manifold, u, disp) @ coeffs.T
         assert np.all(np.abs(t - ref) <= 1e-14 * np.abs(ref))
+
+
+def _threshold_nodes(a):
+    """[(u, w) full, (u, w) half] of a panel [a, 4a], the full rule led by
+    u = a itself (weight 0), where z = 1 for a band grown from a."""
+    full, half = ((a + 1.5 * a * (x + 1.0), 1.5 * a * w) for x, w in map(_leggauss, (24, 12)))
+    return [(np.concatenate([[a], full[0]]), np.concatenate([[0.0], full[1]])), half]
+
+
+def _sorted_pairs(name):
+    """(trace, displacements, coefficient columns, d^2) of a fresh PROXY_CASES
+    trace, the pairs in the trace's distance order."""
+    make, manifold, (i, j) = PROXY_CASES[name]
+    family = make()
+    disp, coeffs = _rule_pairs(family.curves[i], family.curves[j], manifold)
+    d = displacement_distance(manifold, disp)
+    order = np.argsort(d, kind="stable")
+    trace = _trace_store(family, manifold, DEFAULT_QUADRATURE).traces[i, j]
+    return trace, disp[order], coeffs[:, order], d[order] ** 2
+
+
+def _long_double_basis(lo, hi, x):
+    """The basis of _chebyshev_proxies in long double, from the nodes' closed form on."""
+    lo, hi, n = np.longdouble(lo), np.longdouble(hi), PROXY_NODES
+    angle = (2 * np.arange(n, dtype=np.longdouble) + 1) * (np.longdouble(math.pi) / (2 * n))
+    nodes = (lo + hi) / 2 + (hi - lo) / 2 * np.cos(angle)
+    basis = np.where(np.arange(n) % 2, -1, 1)[:, None] * np.sin(angle)[:, None] / (
+        np.asarray(x, dtype=np.longdouble) - nodes[:, None])
+    return basis / basis.sum(axis=0)
+
+
+def test_chebyshev_proxies_reproduce_polynomials_and_points_at_a_node():
+    # sum_p c_p f(x_p) = sum_k W_k f(node_k) for f of degree < PROXY_NODES,
+    # also where some x_p lie exactly on a node (they carry their c there),
+    # with no floating-point warning
+    rng = np.random.default_rng(3)
+    nodes = _chebyshev_proxies(2.0, 5.0, np.array([3.0]), np.ones((1, 1)))[0]
+    x = np.concatenate([rng.uniform(2.0, 5.0, 40), nodes[[0, 7, 15]]])
+    c = rng.standard_normal((len(x), 2))
+    f = np.polynomial.Chebyshev(rng.standard_normal(PROXY_NODES), domain=[2.0, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, W = _chebyshev_proxies(2.0, 5.0, x, c)
+    np.testing.assert_array_equal(got, nodes)
+    assert np.all(np.isfinite(W))
+    np.testing.assert_allclose(W.T @ f(nodes), c.T @ f(x), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", sorted(PROXY_CASES))
+def test_grown_band_matches_a_band_built_from_scratch(name):
+    # each growth re-interpolates the old proxies and adds the new pairs
+    # alone; the W it leaves is the W of one build over all the band's pairs
+    # on the band's interval, to rounding.  Against that build in long double
+    # both the grown W and the same build in double are within 1e-14 of the
+    # largest entry (up to 6.4e-15 here, either way)
+    trace, disp, coeffs, d2 = _sorted_pairs(name)
+    manifold = PROXY_CASES[name][1]
+    h = np.exp(kernel_geometry(manifold, disp).rows[2:].sum(axis=0))
+    bands = []
+    for q in (0.25, 0.5, 0.75, 1.0):
+        a = float(np.quantile(d2 - d2[0], q)) / PROXY_SPREAD
+        trace._panel(_threshold_nodes(a), len(d2), a)
+        j = trace._band
+        bands.append(j)
+        lo, hi, c = d2[0], d2[0] + PROXY_SPREAD * a, (coeffs[:, :j] * h[:j]).T
+        exact = _long_double_basis(lo, hi, d2[:j]) @ c.astype(np.longdouble)
+        scale = float(np.max(np.abs(exact)))
+        scratch = _chebyshev_proxies(lo, hi, d2[:j], c)[1]
+        grown = trace._coeffs[j:j + PROXY_NODES]
+        for W in (scratch, grown):
+            assert float(np.max(np.abs(W - exact))) <= 1e-14 * scale
+    assert 0 < bands[0] < bands[1] < bands[2] < bands[3] == len(d2)
+
+
+@pytest.mark.parametrize("name", sorted(PROXY_CASES))
+def test_grown_band_matches_all_pairs_at_the_threshold(name, kernel_counter):
+    # a band grown over half the pairs, then over all of them, each on the
+    # first panel that may take them, z = 1 at u = a: every column within
+    # 1e-14 of the sum over all pairs, from one kernel call on the proxies
+    # and the pairs beyond the band
+    trace, disp, coeffs, d2 = _sorted_pairs(name)
+    manifold = PROXY_CASES[name][1]
+    for q in (0.5, 1.0):
+        a = float(np.quantile(d2 - d2[0], q)) / PROXY_SPREAD
+        nodes = _threshold_nodes(a)
+        kernel_counter[:] = [0, 0]
+        got = trace._panel(nodes, len(d2), a)
+        j = trace._band
+        assert 0 < j <= len(d2) and (j == len(d2)) == (q == 1.0)
+        assert kernel_counter == [(PROXY_NODES + len(d2) - j) * sum(len(u) for u, _ in nodes), 1]
+        for (u, _), (_, _, t) in zip(nodes, got):
+            ref = heat_kernel_grid(manifold, u, disp) @ coeffs.T
+            assert np.all(np.abs(t - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_torus_and_counterterm_traces_take_no_proxies(monkeypatch):
     built = []
     original = quadrature._chebyshev_proxies
 
-    def counted(geometry, coeffs):
-        built.append(geometry)
-        return original(geometry, coeffs)
+    def counted(lo, hi, x, c):
+        built.append(len(x))
+        return original(lo, hi, x, c)
 
     monkeypatch.setattr(quadrature, "_chebyshev_proxies", counted)
     torus = _trace_store(_torus_loop_family(), TORUS, DEFAULT_QUADRATURE)
     rg = _trace_store(circle_family([1.0]), EUCLID, DEFAULT_QUADRATURE)
+    others = [*torus.traces.values(), rg.counterterm(0), rg.counterterm(1)]
     for e_max in (0.3, 0.99):  # ladders out to u ~ 2300
-        for trace in [*torus.traces.values(), rg.counterterm(0), rg.counterterm(1)]:
+        for trace in others:
             trace.rules(1.0, e_max)
-    assert built == []
-    # the Euclidean traces of the same family build theirs once
+    assert built == [] and all(trace._band == 0 for trace in others)
+    # the Euclidean traces of the same family grow theirs until it holds every pair
     for e_max in (0.3, 0.99):
         for trace in rg.traces.values():
             trace.rules(1.0, e_max)
-    assert len(built) == len(rg.traces) == 3
+    assert len(built) >= len(rg.traces) == 3
+    assert all(trace._band == len(trace._d2) for trace in rg.traces.values())
 
 
 def test_assemble_at_the_ground_state_evaluates_no_kernel(kernel_counter):

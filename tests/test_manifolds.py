@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import curvebound
 from curvebound import (
     DomainError,
     Euclidean3,
@@ -296,12 +297,31 @@ def test_kernel_at_a_vanishing_diffusion_time_is_zero(name):
 
 
 @pytest.mark.parametrize("name", sorted(MANIFOLDS))
-def test_kernel_rows_slices_match_rows_built_per_call(name):
+def test_kernel_at_a_subnormal_diffusion_time(name):
+    # -1/(4u) overflowed below u ~ 1.4e-309: at d > 0 the kernel was 0 with a
+    # warning, at d = 0 NaN.  Now both are as at u = 1e-300: 0 with no
+    # warning, and +inf (e^b overflows, the one warning there)
+    manifold = MANIFOLDS[name]
+    x, y = np.array([0.5, 0.5, 1.0]), np.array([1.5, 0.5, 1.0])
+    disp = pair_displacement(manifold, np.array([x, x]), np.array([y, x]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in (1e-310, 5e-324, 1e-300):
+            assert heat_kernel(manifold, u, x, y) == 0.0
+            with np.errstate(over="ignore"):
+                assert heat_kernel(manifold, u, x, x) == math.inf
+                block = heat_kernel_grid(manifold, np.array([u, 1.0]), disp)
+            assert block[0, 0] == 0.0 and block[0, 1] == math.inf and np.all(block[1] > 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(MANIFOLDS))
+def test_kernel_rows_slices_match_rows_built_per_call(name, monkeypatch):
     # a heat trace builds the rows of a ladder extension once and passes a
     # slice per u-panel: each slice is the rows of its own u, and its block
     # is the block of rows built for that u alone, bit for bit.  u spans the
     # row-scale switch (u ~ 1e-4), and on the torus the Euclidean, image and
-    # mode rows
+    # mode rows; the torus rows carry the Euclidean factors of its flat rows,
+    # so a block on a slice builds no rows of its own
     manifold = MANIFOLDS[name]
     rng = np.random.default_rng(5)
     X = rng.uniform(0.5, 3.0, (40, 3))
@@ -314,6 +334,10 @@ def test_kernel_rows_slices_match_rows_built_per_call(name):
     assert rows.size == np.size(rows) == u.size and np.shape(rows) == u.shape
     np.testing.assert_array_equal(np.asarray(rows), u)
     assert np.asarray(rows, dtype=np.longdouble).dtype == np.longdouble
+    built = []
+    radial_rows = curvebound.manifolds._radial_rows
+    monkeypatch.setattr(curvebound.manifolds, "_radial_rows",
+                        lambda u, a=None: built.append(len(u)) or radial_rows(u, a))
     for i, j in ((0, 72), (0, 36), (36, 72), (10, 30), (30, 48), (48, 60), (70, 72), (5, 5)):
         part, ref = rows[i:j], kernel_rows(manifold, u[i:j])
         for field in ("u", "cols", "scale"):
@@ -322,10 +346,11 @@ def test_kernel_rows_slices_match_rows_built_per_call(name):
             if want is not None:
                 np.testing.assert_array_equal(got, want)
         for k in (40, 7):
-            np.testing.assert_array_equal(heat_kernel_grid(manifold, part, geometry[:k]),
-                                          heat_kernel_grid(manifold, u[i:j], disp[:k]))
-    if not isinstance(manifold, FlatTorus3):
-        assert rows[30:48].scale is None and rows[0:10].scale is not None
+            built.clear()
+            block = heat_kernel_grid(manifold, part, geometry[:k])
+            assert built == []
+            np.testing.assert_array_equal(block, heat_kernel_grid(manifold, u[i:j], disp[:k]))
+    assert rows[30:48].scale is None and rows[0:10].scale is not None
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
