@@ -21,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import gersgorin_threshold
+from .bounds import BoundConstants, gersgorin_threshold
 from .config import ConfigError, FlowTask, RunConfig, ScanTask, SolveTask, parse_config
 from .curves import ValidationError
-from .manifolds import DomainError
+from .manifolds import DomainError, volume
 from .principal import ConvergenceError, assemble
 from .rgflow import FlowPoleError, beta, flow_profile
 from .spectrum import ground_state_energy, spectral_flow
@@ -118,7 +118,7 @@ def _run_scan(cfg: RunConfig, out: Path, threads: int) -> int:
 
 def _run_bounds(cfg: RunConfig, out: Path, threads: int) -> int:
     family = cfg.build_family()
-    g = gersgorin_threshold(family)
+    g = gersgorin_threshold(family, BoundConstants(V=volume(cfg.manifold)))
     gs = ground_state_energy(family, cfg.prescription, cfg.manifold, cfg.quadrature)
     e_gr = _safe_float(gs.E_gr)
     ordering = None if e_gr is None else bool(g.E_star <= gs.E_gr)

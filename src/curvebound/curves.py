@@ -79,6 +79,8 @@ class TorusLoop:
             raise ValidationError("winding numbers must not all vanish")
         if math.gcd(*(abs(int(v)) for v in w)) != 1:
             raise ValidationError("winding numbers with gcd > 1 retrace the same loop")
+        if not np.all(np.isfinite(self.offset)):
+            raise ValidationError("loop offset must be finite")
 
 
 CurveSpec = Union[Circle, ParametricSamples, TorusLoop]

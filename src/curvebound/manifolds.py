@@ -79,6 +79,8 @@ def _check_point(manifold, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise DomainError("points are 3-vectors")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("point coordinates must be finite")
     if isinstance(manifold, Hyperbolic3) and x[2] <= 0:
         raise DomainError("upper half-space requires x3 > 0")
     return x
@@ -430,8 +432,8 @@ def circle_heat_kernel(u, xi, L):
     largest kept one, and an image sum keeps no image that is +0.0 at every
     column.
     """
-    if not L > 0:
-        raise DomainError("circumference must be positive")
+    if not 0 < L < math.inf:
+        raise DomainError("circumference must be positive and finite")
     u_arr = np.asarray(u, dtype=float)
     xi_arr = np.asarray(xi, dtype=float)
     if not np.all(u_arr > 0):

@@ -58,10 +58,8 @@ from .quadrature import (
     SingWindowConfig,
     _HeatTrace,
     _ambient_trace,
-    _contract,
     _erfcx,
     _leggauss,
-    _rule_nodes,
     check_energy_window,
     gauss_panels,
 )
@@ -254,7 +252,7 @@ class _Contraction:
         self.fingerprint = family_fingerprint(family, manifold)
         self.store = _trace_store(family, manifold, cfg)
         self._u = np.empty(0)  # the rule nodes of every trace in _rules, concatenated
-        self._rules, self._slots = {}, {}  # (i, j) -> rules on this call's ladder, slice of _u
+        self._rules, self._slots = {}, {}  # (i, j) -> (G, T) on this call's ladder, slice of _u
         self._w_mu, self._counter = {}, {}  # i -> w_mu_i on diagonal i's nodes, its counterterm
 
     def _check(self, E):
@@ -271,10 +269,11 @@ class _Contraction:
             e = self.e_max
             if i == j and isinstance(self.p, MinimalBoundState):
                 e = max(e, abs(self.family.mu[i]))
-            self._rules[i, j] = rules = self.store.traces[i, j].rules(self.family.mass, e)
+            u, G, T = self.store.traces[i, j].rules(self.family.mass, e)
+            self._rules[i, j] = G, T
             start = sum(map(len, parts))
-            parts.append(_rule_nodes(rules))
-            self._slots[i, j] = slice(start, start + len(parts[-1]))
+            parts.append(u)
+            self._slots[i, j] = slice(start, start + len(u))
         if len(parts) > 1:
             self._u = np.concatenate(parts)
         return self._u
@@ -311,14 +310,14 @@ class _Contraction:
         r = np.zeros((2, n, n))
         band = np.zeros(n)
         for i, j in keys:
-            w, rules = w_E[self._slots[i, j]], self._rules[i, j]
+            w, (G, T) = w_E[self._slots[i, j]], self._rules[i, j]
             if i != j:
-                d = -_contract(rules, w)
+                d = (G * -w) @ T
             elif isinstance(p, RGScale):
-                d = self._counterterm(i) - _contract(rules, w)
+                d = self._counterterm(i) - (G * w) @ T
                 d[:, 0] += 1.0 / p.lambda_R
             else:
-                d = _contract(rules, self._subtraction(i) - w)
+                d = (G * (self._subtraction(i) - w)) @ T
             r[:, i, j] = r[:, j, i] = d[:, 0]
             if i == j:
                 band[i] = d[0, 1]
@@ -336,13 +335,15 @@ class _Contraction:
                                fingerprint=self.fingerprint)
 
     def dphi(self, E):
-        """dPhi/dE: every entry is minus the derivative-weighted trace."""
+        """dPhi/dE: every entry is minus the derivative-weighted trace, by
+        the full rule (row 0 of G) alone."""
         check_energy_window(self.family.mass, E)
         n = len(self.family)
         w = quadrature.weight_derivative(self._nodes(self.store.traces), E, self.family.mass)
         out = np.zeros((n, n))
         for i, j in self.store.traces:
-            out[i, j] = out[j, i] = -_contract(self._rules[i, j], w[self._slots[i, j]])[0, 0]
+            G, T = self._rules[i, j]
+            out[i, j] = out[j, i] = -(G[0] * w[self._slots[i, j]]) @ T[:, 0]
         return out
 
 

@@ -25,7 +25,10 @@ panel (12 of a panel's 36 kernel evaluations at the default 24).
 Only the weight depends on the energy.  A weighted sum of kernels over
 point pairs, T(u) = sum_p c_p K_u(disp_p), is therefore evaluated once on
 the u-rule nodes (``_HeatTrace``), and any energy's integral is the
-contraction sum_u g(u) w(E, u) T(u) with the rule weights g.  The
+contraction sum_u g(u) w(E, u) T(u) with the rule weights g.  A trace holds
+its rules as (u, G, T): the nodes of both rules in one vector, their
+weights as the two rows of G (each 0 on the other rule's nodes) and T a
+row per node, so both rules' integrals are (G * w(u)) @ T.  The
 boundary-layer floor applies per pair: the ladder starts at the closest
 pair's floor, and a pair at distance d enters the sum only on the panels
 that reach above its own floor d^2/160.  A trace appends panels when an
@@ -52,6 +55,7 @@ traces evaluate every active pair.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -112,6 +116,12 @@ PROXY_SPREAD = 8.0
 BAND_GROWTH = 256
 
 
+def _check_count(name, value, least):
+    """Raise DomainError unless value is an integer of at least least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{name} must be an integer of at least {least}")
+
+
 @dataclass(frozen=True)
 class SingWindowConfig:
     """Near-diagonal curve-quadrature window (xi = delta e^{-w} substitution)."""
@@ -124,12 +134,10 @@ class SingWindowConfig:
     def __post_init__(self):
         if not 0 < self.log_depth < math.inf:
             raise DomainError("log_depth must be positive and finite")
-        if self.log_nodes < 4:
-            raise DomainError("log_nodes must be at least 4")
+        _check_count("log_nodes", self.log_nodes, 4)
         if not self.far_panel_ratio > 1:
             raise DomainError("far_panel_ratio must exceed 1")
-        if self.far_nodes < 4:
-            raise DomainError("far_nodes must be at least 4")
+        _check_count("far_nodes", self.far_nodes, 4)
 
 
 @dataclass(frozen=True)
@@ -142,10 +150,8 @@ class QuadratureConfig:
     sing_window: SingWindowConfig = field(default_factory=SingWindowConfig)
 
     def __post_init__(self):
-        if self.t_nodes < 16:
-            raise DomainError("t_nodes must be at least 16")
-        if self.u_nodes < 16:
-            raise DomainError("u_nodes must be at least 16")
+        _check_count("t_nodes", self.t_nodes, 16)
+        _check_count("u_nodes", self.u_nodes, 16)
         if not self.rel_tol > 0:
             raise DomainError("rel_tol must be positive")
         if not self.abs_tol > 0:
@@ -343,11 +349,15 @@ def _chebyshev_proxies(lo, hi, x, c):
 class _HeatTrace:
     """Energy-independent heat trace T(u) = sum_p c_p K_u(disp_p) of one entry.
 
-    T is held per node of the full and of the half-order u-rule on
-    the panels of u_panel_breaks (plus, with tail, an algebraic panel
-    u = u_top/s^2 out to infinity), one column per coefficient vector.  Every
-    diffusion-time integral sum_p c_p int du w(u) K_u(disp_p) is then the
-    contraction of T with the rule weights times w.
+    T is held on the nodes of both u-rules, the full and the half-order one,
+    on the panels of u_panel_breaks (plus, with tail, an algebraic panel
+    u = u_top/s^2 out to infinity), one column per coefficient vector.  The
+    rules are three arrays: u, every node of both rules, panel-major with
+    each panel's full-rule nodes first; G, a (2, len(u)) matrix whose row 0
+    holds the full rule's weights (0 on half-rule nodes) and row 1 the half
+    rule's (0 on full-rule nodes); and T, a row per node.  Every
+    diffusion-time integral sum_p c_p int du w(u) K_u(disp_p), by both rules
+    at once, is then (G * w(u)) @ T.
 
     The pairs are sorted by their distance dist once; the ladder starts at
     the floor of the closest one, and on a panel [a, b] only the prefix of
@@ -370,14 +380,14 @@ class _HeatTrace:
 
     The ladder grows on demand: rules(m, e_max) evaluates only the panels
     that the ladder for e_max has beyond those already held, and returns
-    exactly that ladder (with its own tail panel), so a result never depends
-    on which larger ladders were asked for before.  A trace serves one mass
-    m.  geometry(disp) prepares the sorted displacements once, before the
-    first panel; rows(u) prepares the u nodes once per ladder extension, over
-    all its new panels (tail included), laid out panel-major with each
-    panel's full-rule nodes before its half-rule ones; kernel(rows[i:j],
-    geometry[:k]) returns the (j - i, k) kernel block, and each new panel is
-    one such call on its own slice of rows, over the nodes of both rules.
+    exactly that ladder, so a result never depends on which larger ladders
+    were asked for before: prefix views of the held arrays, and with tail
+    that prefix joined to the ladder's own tail panel (kept per ladder).  A
+    trace serves one mass m.  geometry(disp) prepares the sorted
+    displacements once, before the first panel; rows(u) prepares the u nodes
+    once per ladder extension, over all its new panels (and once per tail
+    panel); kernel(rows[i:j], geometry[:k]) returns the (j - i, k) kernel
+    block, and each new panel is one such call on its own slice of rows.
     rows is np.asarray (plain u) unless given; a trace that is never
     contracted costs nothing.
     """
@@ -391,9 +401,14 @@ class _HeatTrace:
         self._rows = rows
         self._coeffs = np.atleast_2d(coeffs).T[order]
         self._cfg, self._tail = cfg, tail
-        self._orders = (cfg.u_nodes, max(8, cfg.u_nodes // 2))
-        self._panels = []  # ((u, w, T) full, (u, w, T) half) of each held panel
-        self._rules = {}  # panel count -> the rules() of that ladder
+        # the full- then the half-order rule's nodes x on [-1, 1], and their
+        # weights g as two rows, each 0 on the other rule's nodes
+        (x, w), (y, v) = _leggauss(cfg.u_nodes), _leggauss(max(8, cfg.u_nodes // 2))
+        self._x, self._g = np.concatenate([x, y]), np.zeros((2, len(x) + len(y)))
+        self._g[0, :len(x)], self._g[1, len(x):] = w, v
+        # (u, G, T) of the held panels
+        self._held = np.empty(0), np.empty((2, 0)), np.empty((0, self._coeffs.shape[1]))
+        self._ladders = {}  # with tail: panel count -> the rules() of that ladder
         self._pair0 = None  # the column of pair 0, once the geometry is built
         self._band = 0  # the pairs in the near band
         self._grow_at = (math.inf, 0.0)  # (k, d^2 - D0) from which a panel grows the band
@@ -445,81 +460,62 @@ class _HeatTrace:
                                       self._coeffs])
             self._next_growth()
 
-    def _panel(self, nodes, k, a, rows=None):
-        """((u, w, T) full, (u, w, T) half) of one panel from a, from a single
-        kernel call over both rules' nodes, nodes = [(u, w) full, (u, w) half],
-        and the k closest pairs, those in the near band by its proxies.
-        Panels come in ascending order.  rows is rows(u) of those nodes, the
-        full rule's first; it is built here when not given."""
-        (u_full, w_full), (u_half, w_half) = nodes
+    def _panel(self, rows, k, a):
+        """T of one panel from a: one kernel call over rows, rows(u) of the
+        panel's nodes, and the k closest pairs, those in the near band by its
+        proxies.  Panels come in ascending order."""
         if self._pair0 is None:
             self._prepare()
-        if rows is None:
-            rows = self._rows(np.concatenate([u_full, u_half]))
         if k >= self._grow_at[0] and PROXY_SPREAD * a >= self._grow_at[1]:
             self._grow_band(k, a)
         # the band's proxies, if any, then the active pairs beyond it
         g, coeffs = self._disp, self._coeffs
         first, end = self._band or self._pair0, self._pair0 + k
         whole = first == 0 and end == len(coeffs)
-        trace = self._kernel(rows, g if whole else g[first:end]) @ coeffs[first:end]
-        n = len(u_full)
-        return (u_full, w_full, trace[:n]), (u_half, w_half, trace[n:])
+        return self._kernel(rows, g if whole else g[first:end]) @ coeffs[first:end]
+
+    def _evaluate(self, u, G, starts, active):
+        """(u, G, T) of the panels from starts, with active pairs each, u and
+        G a row per panel: one rows() call for all of them, then one kernel
+        call per panel."""
+        rows, width = self._rows(u.ravel()), u.shape[-1]
+        T = np.vstack([self._panel(rows[p * width:(p + 1) * width], k, lo)
+                       for p, (lo, k) in enumerate(zip(starts, active))])
+        return u.ravel(), G.reshape(2, -1), T
 
     def rules(self, m, e_max):
-        """(u nodes, rule weights, T) for the full and the half-order rule on
-        the ladder that carries the weights of energies up to e_max."""
+        """(u, G, T) of the ladder that carries the weights of energies up to e_max."""
         breaks = u_panel_breaks(self._d_min, m, e_max, self._cfg)
         n = len(breaks) - 1
-        if n not in self._rules:
-            held = len(self._panels)
-            a, b = breaks[held:-1], breaks[held + 1:]
-            starts = a.tolist()
+        if n in self._ladders:
+            return self._ladders[n]
+        held, end = len(self._held[0]) // len(self._x), n * len(self._x)
+        a, b = breaks[held:-1], breaks[held + 1:]
+        if len(a):  # the rules mapped onto each new panel [a, b], as gauss_panels does
+            mid, half = (0.5 * (a + b))[:, None], (0.5 * (b - a))[:, None]
             active = np.searchsorted(self._d2, BOUNDARY_LAYER * b).tolist()
-            # the (u, w) of every new panel per rule order, a row per panel
-            nodes = [gauss_panels(a, b, q) for q in self._orders]
-            if self._tail:  # the ladder's own algebraic panel, after the new ones
-                u_top = breaks[-1]
-                starts.append(u_top)
-                active.append(len(self._d2))
-                tail = (gauss_panels(0.0, 1.0, q) for q in self._orders)
-                nodes = [(np.vstack([u, u_top / s**2]), np.vstack([w, v * 2.0 * u_top / s**3]))
-                         for (u, w), (s, v) in zip(nodes, tail)]
-            new = []
-            if starts:
-                # one rows() call for the extension: panel-major, each panel's
-                # full-rule nodes, then its half-rule nodes
-                u_new = np.concatenate([u for u, _ in nodes], axis=1)
-                rows, width = self._rows(u_new.ravel()), u_new.shape[1]
-                new = [self._panel([(u[p], w[p]) for u, w in nodes], k, lo,
-                                   rows[p * width:(p + 1) * width])
-                       for p, (lo, k) in enumerate(zip(starts, active))]
-            self._panels += new[:len(a)]
-            ladder = self._panels[:n] + new[len(a):]
-            self._rules[n] = [tuple(np.concatenate(x) for x in zip(*panels))
-                              for panels in zip(*ladder)]
-        return self._rules[n]
+            self._held = _join(self._held, self._evaluate(
+                mid + half * self._x, half * self._g[:, None], a.tolist(), active))
+        u, G, T = self._held
+        ladder = u[:end], G[:, :end], T[:end]
+        # with tail, the ladder's own algebraic panel u = u_top/s^2, s in (0, 1]:
+        # du = 2 u_top ds/s^3, and the rules' weights on [0, 1] are g/2
+        if self._tail:
+            u_top, s = breaks[-1], 0.5 + 0.5 * self._x
+            self._ladders[n] = ladder = _join(ladder, self._evaluate(
+                u_top / s**2, self._g * u_top / s**3, [u_top], [len(self._d2)]))
+        return ladder
 
     def integrate(self, weight, m, e_max):
-        """[full, half] rule values of int du weight(u) T(u), a column per coefficient vector.
-
-        weight is evaluated once, on the nodes of both rules.
-        """
-        rules = self.rules(m, e_max)
-        return _contract(rules, weight(_rule_nodes(rules)))
+        """[full, half] rule values of int du weight(u) T(u), a column per
+        coefficient vector; weight is evaluated once, on the nodes of both rules."""
+        u, G, T = self.rules(m, e_max)
+        return (G * weight(u)) @ T
 
 
-def _rule_nodes(rules):
-    """The u nodes of both rules of _HeatTrace.rules, the full rule first."""
-    return np.concatenate([rules[0][0], rules[1][0]])
-
-
-def _contract(rules, wu):
-    """[full, half] rule values of int du w(u) T(u) from _HeatTrace.rules,
-    with wu = w(_rule_nodes(rules))."""
-    (_, w_full, t_full), (_, w_half, t_half) = rules
-    n = len(w_full)
-    return np.array([(w_full * wu[:n]) @ t_full, (w_half * wu[n:]) @ t_half])
+def _join(x, y):
+    """(u, G, T) of the nodes of rules x, then those of rules y."""
+    return np.hstack([x[0], y[0]]), np.hstack([x[1], y[1]]), np.vstack([x[2], y[2]])
 
 
 def _ambient_trace(manifold: ManifoldSpec, disp, coeffs, cfg: QuadratureConfig):

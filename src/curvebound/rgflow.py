@@ -157,8 +157,8 @@ def flow_profile(lambda_mu: float, tau_min: float, tau_max: float, points: int) 
     (ode_flow_values), about 1e-10 or less up to the pole;
     closed_form_residual is the worst of them.
     """
-    if not 0 < tau_min <= tau_max or points < 2:
-        raise DomainError("need 0 < tau_min <= tau_max and at least two points")
+    if not 0 < tau_min <= tau_max < math.inf or points < 2:
+        raise DomainError("need 0 < tau_min <= tau_max < inf and at least two points")
     taus = np.geomspace(tau_min, tau_max, points)
     lams = np.array([flow_coupling(lambda_mu, float(t)) for t in taus])
     betas = -lams * lams / _FOUR_PI

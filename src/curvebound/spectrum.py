@@ -190,6 +190,8 @@ def feynman_hellman_residual(
     m = family.mass
     if h is None:
         h = 1e-4 * m
+    if not 0 < h < math.inf:
+        raise DomainError("finite-difference step h must be positive and finite")
     traces = _Contraction(family, p, manifold, cfg, (E - h, E + h))
     vals, vecs = np.linalg.eigh(traces.matrix(E).entries)
     analytic = np.einsum("ik,ij,jk->k", vecs, traces.dphi(E), vecs)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from curvebound import (
     Circle,
     DomainError,
     Euclidean3,
+    FlatTorus3,
     assemble,
     diagonal_lower_bound,
     euclidean_constants,
@@ -18,6 +20,7 @@ from curvebound import (
     offdiagonal_upper_bound,
     resample_arclength,
 )
+from curvebound import cli
 from curvebound.bounds import _phi_term
 
 from conftest import circle_family
@@ -147,3 +150,52 @@ def test_energy_domain_checks():
         near_diagonal_envelope(1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         offdiagonal_upper_bound(-0.5, 1.0, -1.0, 2.0 * math.pi)
+
+
+def _torus_pair(side, shapes, mu):
+    """A bounds config of two curves with equal mu on the cubic torus of the given side."""
+    return {"manifold": {"kind": "flat_torus3", "circumferences": [side] * 3},
+            "curves": [{"shape": shape, "mu": mu} for shape in shapes],
+            "task": {"kind": "bounds"}}
+
+
+def _x_loop(offset):
+    return {"kind": "torus_loop", "winding": [1, 0, 0], "offset": offset}
+
+
+def _circle_at(z):
+    return {"kind": "circle", "center": [1.5, 1.5, z], "radius": 0.6, "normal": [0, 0, 1]}
+
+
+TORUS_BOUNDS_CASES = {
+    "loops_1.41_apart": _torus_pair(2.0, [_x_loop([0, 0, 0]), _x_loop([0, 1, 1])], 0.9),
+    "loops_0.5_apart": _torus_pair(2.0, [_x_loop([0, 0, 0]), _x_loop([0, 0.5, 0])], 0.5),
+    "circles_1.2_apart": _torus_pair(3.0, [_circle_at(0.9), _circle_at(2.1)], 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_BOUNDS_CASES))
+def test_cli_bounds_constants_hold_on_the_torus(name, tmp_path, monkeypatch):
+    # the torus kernel tends to 1/V at long times, so bounds must pass the
+    # torus volume: with V = inf |Phi_12| reaches 1.98 times
+    # offdiagonal_upper_bound on the loops 1.41 apart
+    doc = TORUS_BOUNDS_CASES[name]
+    passed = []
+
+    def spy(family, constants=BoundConstants()):
+        passed.append((family, constants))
+        return gersgorin_threshold(family, constants)
+
+    monkeypatch.setattr(cli, "gersgorin_threshold", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    (family, constants), = passed
+    torus = FlatTorus3((doc["manifold"]["circumferences"][0],) * 3)
+    m, mu_min = family.mass, float(np.min(family.mu))
+    lengths = [c.length for c in family.curves]
+    for E in np.linspace(-0.95, mu_min - 0.01, 12):
+        M = assemble(family, float(E), manifold=torus).entries
+        assert abs(M[0, 1]) <= offdiagonal_upper_bound(E, m, family.d_matrix[0, 1], max(lengths),
+                                                       constants)
+        assert np.min(np.diag(M)) >= diagonal_lower_bound(E, mu_min, m, min(lengths), constants)

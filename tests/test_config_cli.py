@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,14 +12,21 @@ from curvebound import (
     ConfigError,
     DomainError,
     Euclidean3,
+    Hyperbolic3,
     QuadratureConfig,
     RGScale,
     SingWindowConfig,
+    TorusLoop,
     ValidationError,
     beta,
+    circle_heat_kernel,
     diagonal_lower_bound,
     family_geometry,
+    feynman_hellman_residual,
     flow_coupling,
+    flow_profile,
+    geodesic_distance,
+    heat_kernel,
     ode_flow_values,
     offdiagonal_upper_bound,
     parse_config,
@@ -148,7 +156,8 @@ def _unit_circle_family(mass=1.0, mu=0.0):
 
 
 # the Python API's range checks reject NaN, and an infinity wherever it would
-# break the result (the CLI rejects non-finite numbers before they get here)
+# break the result, before any floating-point warning (the CLI rejects
+# non-finite numbers before they get here)
 NON_FINITE = {
     "QuadratureConfig.rel_tol=nan": (DomainError, lambda: QuadratureConfig(rel_tol=math.nan)),
     "QuadratureConfig.abs_tol=nan": (DomainError, lambda: QuadratureConfig(abs_tol=math.nan)),
@@ -185,14 +194,52 @@ NON_FINITE = {
     # an infinite tau would march the ODE for ~2^53 steps
     "ode_flow_values.tau=nan": (DomainError, lambda: ode_flow_values(1.0, [math.nan])),
     "ode_flow_values.tau=inf": (DomainError, lambda: ode_flow_values(1.0, [math.inf])),
+    "flow_profile.tau_max=inf": (DomainError, lambda: flow_profile(1.0, 0.5, math.inf, 3)),
+    "circle_heat_kernel.L=inf": (DomainError, lambda: circle_heat_kernel(1.0, 0.3, math.inf)),
+    "heat_kernel.x=nan": (DomainError,
+                          lambda: heat_kernel(Euclidean3(), 1.0, (math.nan, 0, 0), (0, 0, 0))),
+    "heat_kernel.hyperbolic.x3=nan": (
+        DomainError, lambda: heat_kernel(Hyperbolic3(1.0), 1.0, (0, 0, math.nan), (0, 0, 1))),
+    "geodesic_distance.x=inf": (
+        DomainError, lambda: geodesic_distance(Euclidean3(), (math.inf, 0, 0), (0, 0, 0))),
+    "TorusLoop.offset=nan": (ValidationError, lambda: TorusLoop((1, 0, 0), (math.nan, 0, 0))),
+    "feynman_hellman_residual.h=nan": (
+        DomainError, lambda: feynman_hellman_residual(_unit_circle_family(), -0.5, h=math.nan)),
+    "feynman_hellman_residual.h=inf": (
+        DomainError, lambda: feynman_hellman_residual(_unit_circle_family(), -0.5, h=math.inf)),
+    # not non-finite, but a step of 0 divides by zero and a negative one is no step
+    "feynman_hellman_residual.h=0": (
+        DomainError, lambda: feynman_hellman_residual(_unit_circle_family(), -0.5, h=0.0)),
+    "feynman_hellman_residual.h<0": (
+        DomainError, lambda: feynman_hellman_residual(_unit_circle_family(), -0.5, h=-1e-4)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE))
 def test_range_checks_reject_non_finite_values(case):
     error, make = NON_FINITE[case]
-    with pytest.raises(error):
-        make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            make()
+
+
+NOT_INTEGER = {
+    "QuadratureConfig.t_nodes=16.5": lambda: QuadratureConfig(t_nodes=16.5),
+    "QuadratureConfig.u_nodes=16.5": lambda: QuadratureConfig(u_nodes=16.5),
+    "QuadratureConfig.u_nodes=24.0": lambda: QuadratureConfig(u_nodes=24.0),
+    "SingWindowConfig.log_nodes=4.5": lambda: SingWindowConfig(log_nodes=4.5),
+    "SingWindowConfig.far_nodes=24.0": lambda: SingWindowConfig(far_nodes=24.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INTEGER))
+def test_node_counts_must_be_integers(case):
+    # a fractional count would fail deep in numpy's Gauss-Legendre rule, or
+    # round up silently in beta's Laguerre rule
+    with pytest.raises(DomainError):
+        NOT_INTEGER[case]()
+    assert QuadratureConfig(t_nodes=np.int64(20), u_nodes=np.int64(20)).u_nodes == 20
 
 
 def test_cli_task_kind_mismatch(tmp_path):

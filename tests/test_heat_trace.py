@@ -52,6 +52,7 @@ from curvebound.manifolds import (
     displacement_distance,
     heat_kernel_grid,
     kernel_geometry,
+    kernel_rows,
 )
 from curvebound.principal import _counterterm_weight, _inner_grid, _pair_rule, _trace_store
 from curvebound.quadrature import (
@@ -279,8 +280,8 @@ def test_pruned_traces_match_all_pairs(name):
                        abs(E)))
     for trace, kernel, coeffs, weight, e_max in checks:
         full, half = trace.integrate(weight, 1.0, e_max)
-        ref_full, ref_half = [(w * weight(u)) @ (kernel(u) @ coeffs.T)
-                              for u, w, _ in trace.rules(1.0, e_max)]
+        u, G, _ = trace.rules(1.0, e_max)
+        ref_full, ref_half = (G * weight(u)) @ (kernel(u) @ coeffs.T)
         scale = np.max(np.abs(ref_full))
         assert np.max(np.abs(full - ref_full)) <= 1e-14 * scale
         assert np.max(np.abs(np.abs(full - half) - np.abs(ref_full - ref_half))) <= 1e-14 * scale
@@ -292,7 +293,7 @@ def test_polyline_kernel_work_skips_pairs_below_their_floor(kernel_counter):
     evaluated = kernel_counter[0]
     trace = _trace_store(family, EUCLID, DEFAULT_QUADRATURE).traces[0, 0]
     pairs = len(_rule_pairs(family.curves[0], family.curves[0], EUCLID)[0])
-    u_nodes = sum(len(u) for u, _, _ in trace.rules(1.0, abs(E)))
+    u_nodes = len(trace.rules(1.0, abs(E))[0])
     assert 0 < evaluated <= 0.35 * pairs * u_nodes
 
 
@@ -389,20 +390,19 @@ def test_proxy_panel_matches_all_pairs_at_the_threshold(name, kernel_counter):
     disp, coeffs = _rule_pairs(family.curves[i], family.curves[j], manifold)
     d2 = displacement_distance(manifold, disp) ** 2
     a = (d2.max() - d2.min()) / PROXY_SPREAD
-    nodes = _threshold_nodes(a)
+    u = _threshold_nodes(a)
     trace = _trace_store(family, manifold, DEFAULT_QUADRATURE).traces[i, j]
-    got = trace._panel(nodes, len(d2), a)
-    assert kernel_counter == [PROXY_NODES * sum(len(u) for u, _ in nodes), 1]
-    for (u, _), (_, _, t) in zip(nodes, got):
-        ref = heat_kernel_grid(manifold, u, disp) @ coeffs.T
-        assert np.all(np.abs(t - ref) <= 1e-14 * np.abs(ref))
+    got = trace._panel(kernel_rows(manifold, u), len(d2), a)
+    assert kernel_counter == [PROXY_NODES * len(u), 1]
+    ref = heat_kernel_grid(manifold, u, disp) @ coeffs.T
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
 def _threshold_nodes(a):
-    """[(u, w) full, (u, w) half] of a panel [a, 4a], the full rule led by
-    u = a itself (weight 0), where z = 1 for a band grown from a."""
-    full, half = ((a + 1.5 * a * (x + 1.0), 1.5 * a * w) for x, w in map(_leggauss, (24, 12)))
-    return [(np.concatenate([[a], full[0]]), np.concatenate([[0.0], full[1]])), half]
+    """The full- then the half-order rule's nodes on a panel [a, 4a], the
+    full rule led by u = a itself, where z = 1 for a band grown from a."""
+    full, half = (a + 1.5 * a * (_leggauss(q)[0] + 1.0) for q in (24, 12))
+    return np.concatenate([[a], full, half])
 
 
 def _sorted_pairs(name):
@@ -457,7 +457,7 @@ def test_grown_band_matches_a_band_built_from_scratch(name):
     bands = []
     for q in (0.25, 0.5, 0.75, 1.0):
         a = float(np.quantile(d2 - d2[0], q)) / PROXY_SPREAD
-        trace._panel(_threshold_nodes(a), len(d2), a)
+        trace._panel(kernel_rows(manifold, _threshold_nodes(a)), len(d2), a)
         j = trace._band
         bands.append(j)
         lo, hi, c = d2[0], d2[0] + PROXY_SPREAD * a, (coeffs[:, :j] * h[:j]).T
@@ -480,15 +480,14 @@ def test_grown_band_matches_all_pairs_at_the_threshold(name, kernel_counter):
     manifold = PROXY_CASES[name][1]
     for q in (0.5, 1.0):
         a = float(np.quantile(d2 - d2[0], q)) / PROXY_SPREAD
-        nodes = _threshold_nodes(a)
+        u = _threshold_nodes(a)
         kernel_counter[:] = [0, 0]
-        got = trace._panel(nodes, len(d2), a)
+        got = trace._panel(kernel_rows(manifold, u), len(d2), a)
         j = trace._band
         assert 0 < j <= len(d2) and (j == len(d2)) == (q == 1.0)
-        assert kernel_counter == [(PROXY_NODES + len(d2) - j) * sum(len(u) for u, _ in nodes), 1]
-        for (u, _), (_, _, t) in zip(nodes, got):
-            ref = heat_kernel_grid(manifold, u, disp) @ coeffs.T
-            assert np.all(np.abs(t - ref) <= 1e-14 * np.abs(ref))
+        assert kernel_counter == [(PROXY_NODES + len(d2) - j) * len(u), 1]
+        ref = heat_kernel_grid(manifold, u, disp) @ coeffs.T
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_torus_and_counterterm_traces_take_no_proxies(monkeypatch):
@@ -600,14 +599,19 @@ def test_each_new_panel_is_one_kernel_call(kernel_counter, monkeypatch):
 
     monkeypatch.setattr(principal, "circle_heat_kernel", counted)
     store = _trace_store(circle_family([1.0]), EUCLID, DEFAULT_QUADRATURE)
-    nodes = DEFAULT_QUADRATURE.u_nodes
+    full, half = DEFAULT_QUADRATURE.u_nodes, max(8, DEFAULT_QUADRATURE.u_nodes // 2)
     for trace, calls, tail in ((store.traces[0, 1], lambda: kernel_counter[1], 0),
                                (store.counterterm(0), lambda: circle_calls[0], 1)):
         held = made = 0  # panels held, kernel calls made
         for e_max in (0.3, 0.9):  # a fresh ladder, then the panels a longer one adds
-            (u_full, _, _), (u_half, _, _) = trace.rules(1.0, e_max)
-            assert len(u_half) == len(u_full) // 2
-            panels = len(u_full) // nodes - tail
+            u, G, T = trace.rules(1.0, e_max)
+            assert G.shape == (2, len(u)) and len(T) == len(u)
+            # panel-major, each panel's full-rule nodes, weighted in row 0
+            # alone, before its half-rule nodes, weighted in row 1 alone
+            G = G.reshape(2, -1, full + half)
+            assert np.all(G[0, :, :full] > 0) and np.all(G[1, :, full:] > 0)
+            assert not np.any(G[0, :, full:]) and not np.any(G[1, :, :full])
+            panels = len(u) // (full + half) - tail
             assert calls() - made == panels - held + tail
             held, made = panels, calls()
 
@@ -628,15 +632,13 @@ def test_a_ladder_extension_builds_its_kernel_rows_once(kernel_counter, monkeypa
     full, half = DEFAULT_QUADRATURE.u_nodes, max(8, DEFAULT_QUADRATURE.u_nodes // 2)
     held = 0
     for e_max in (0.3, 0.9):  # a fresh ladder, then the panels a longer one adds
-        (u_full, _, _), (u_half, _, _) = trace.rules(1.0, e_max)
-        panels = len(u_full) // full
+        u = trace.rules(1.0, e_max)[0]
+        panels = len(u) // (full + half)
         assert len(built) == 1 and kernel_counter[1] == panels - held > 0
         rows = built.pop()
         assert rows.size == np.size(rows) == (panels - held) * (full + half)
         assert np.shape(rows) == (rows.size,)
-        u = np.asarray(rows).reshape(panels - held, full + half)
-        np.testing.assert_array_equal(u[:, :full].ravel(), u_full[held * full:])
-        np.testing.assert_array_equal(u[:, full:].ravel(), u_half[held * half:])
+        np.testing.assert_array_equal(np.asarray(rows), u[held * (full + half):])
         held, kernel_counter[1] = panels, 0
     trace.rules(1.0, 0.3)  # a shorter ladder adds no panel
     assert built == [] and kernel_counter[1] == 0
