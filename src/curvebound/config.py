@@ -27,7 +27,7 @@ from .curves import (
     family_geometry,
     resample_arclength,
 )
-from .manifolds import DomainError, Euclidean3, FlatTorus3, Hyperbolic3, ManifoldSpec
+from .manifolds import DomainError, Euclidean3, FlatTorus3, Hyperbolic3, ManifoldSpec, _check_count
 from .principal import MinimalBoundState, Prescription, RGScale
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 
@@ -52,8 +52,7 @@ class ScanTask:
     kind: str = "scan"
 
     def __post_init__(self):
-        if self.points < 2:
-            raise DomainError("points must be at least 2")
+        _check_count("points", self.points, 2)
         if not self.E_min < self.E_max:
             raise DomainError("need E_min < E_max")
 
@@ -75,8 +74,7 @@ class FlowTask:
         for name in ("lambda_R", "tau_min", "tau_max"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive")
-        if self.points < 2:
-            raise DomainError("points must be at least 2")
+        _check_count("points", self.points, 2)
         if not self.tau_min <= self.tau_max:
             raise DomainError("need tau_min <= tau_max")
 

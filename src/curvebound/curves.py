@@ -26,6 +26,7 @@ from .manifolds import (
     FlatTorus3,
     Hyperbolic3,
     ManifoldSpec,
+    _check_count,
     pair_displacement,
     displacement_distance,
 )
@@ -284,8 +285,7 @@ def resample_arclength(
     A warning is issued when fewer than 4 nodes span the delta window; the
     band quadrature does not rely on node spacing, but geometry estimates do.
     """
-    if n < 8:
-        raise DomainError("need at least 8 sample nodes")
+    _check_count("sample node count n", n, 8)
 
     if isinstance(spec, Circle):
         ev = _CircleEval(spec.center, spec.radius, spec.normal)

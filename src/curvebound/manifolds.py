@@ -14,6 +14,9 @@ The circle kernel is kept in the circumference-L convention
 with a Poisson-resummed image form used below the switch point, so both the
 u -> 0 and u -> infinity regimes converge with a handful of terms;
 _circle_rows evaluates it for the torus axes and circle_heat_kernel alike.
+A curve's own circle of circumference L is the private one-axis manifold
+_IntrinsicCircle((L,)): its kernel is the torus block of one axis, on (n, 1)
+arc separations, and the flow prescription's counterterm is a heat trace on it.
 
 heat_kernel_grid forms a block from two factors: kernel_geometry holds what
 depends on the pairs alone (a heat trace builds it once), kernel_rows what
@@ -25,6 +28,7 @@ the geometry is their product, exponentiated in place.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -33,6 +37,12 @@ import numpy as np
 
 class DomainError(ValueError):
     """Input outside the operation's stated domain."""
+
+
+def _check_count(name, value, least):
+    """Raise DomainError unless value is an integer of at least least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{name} must be an integer of at least {least}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,18 @@ class Hyperbolic3:
 
 
 ManifoldSpec = Union[Euclidean3, FlatTorus3, Hyperbolic3]
+
+
+@dataclass(frozen=True)
+class _IntrinsicCircle:
+    """A curve's own circle of circumference L, the one axis of circumferences
+    (L,), with (n, 1) arc separations as its displacements.  Not a
+    ManifoldSpec: the kernel layer alone knows it."""
+
+    circumferences: tuple[float]
+
+
+_FLAT_PERIODIC = (FlatTorus3, _IntrinsicCircle)  # kernels: a circle kernel per axis
 
 
 def volume(manifold: ManifoldSpec) -> float:
@@ -150,7 +172,7 @@ def pair_displacement(manifold: ManifoldSpec, X, Y):
 
 def displacement_distance(manifold: ManifoldSpec, disp):
     """Geodesic distance of a precomputed displacement batch."""
-    if isinstance(manifold, FlatTorus3):
+    if isinstance(manifold, _FLAT_PERIODIC):
         return np.linalg.norm(disp, axis=1)
     return np.asarray(disp)
 
@@ -180,13 +202,14 @@ class KernelGeometry:
     """The diffusion-time-independent factors of a kernel block, a column per pair.
 
     rows holds the pair factors of the exponent a(u) d^2 + b(u): d^2 and 1,
-    and on Hyperbolic3 also log(rho/sinh rho).  On FlatTorus3, d^2 is |xi|^2,
-    and per axis xi is the wrapped separation and cosines[n - 1] is
-    cos(2 pi n xi/L) for n = 1.._mode_count(switch), the one row of
-    separations that _circle_rows takes for every u.  geometry[:k] is the
-    geometry of the first k pairs; np.shape counts pairs, as for a
-    displacement batch.  A heat trace builds one, in its own distance order,
-    before its first panel, and passes a prefix of it per u-panel.
+    and on Hyperbolic3 also log(rho/sinh rho).  On FlatTorus3 and
+    _IntrinsicCircle, d^2 is |xi|^2, and per axis xi is the wrapped
+    separation and cosines[n - 1] is cos(2 pi n xi/L) for
+    n = 1.._mode_count(switch), the one row of separations that _circle_rows
+    takes for every u.  geometry[:k] is the geometry of the first k pairs;
+    np.shape counts pairs, as for a displacement batch.  A heat trace builds
+    one, in its own distance order, before its first panel, and passes a
+    prefix of it per u-panel.
     """
 
     rows: np.ndarray
@@ -206,7 +229,7 @@ class KernelGeometry:
 def kernel_geometry(manifold: ManifoldSpec, disp) -> KernelGeometry:
     """The KernelGeometry of a pair_displacement batch."""
     disp = np.asarray(disp, dtype=float)
-    if isinstance(manifold, FlatTorus3):
+    if isinstance(manifold, _FLAT_PERIODIC):
         ls = np.asarray(manifold.circumferences)[:, None]
         xi = _wrap(np.atleast_2d(disp).T, ls)
         n = 2.0 * math.pi * np.arange(1, _mode_count(POISSON_SWITCH, 1.0) + 1)
@@ -246,18 +269,19 @@ class KernelRows:
     """The pair-independent factors of a kernel block, a row per diffusion time u.
 
     The u-side twin of KernelGeometry.  cols holds the exponent columns
-    a(u) = -1/(4u) and b(u) = -(3/2) log(4 pi u) (- u/a^2 on Hyperbolic3,
-    followed by a column of ones for its log(rho/sinh rho) row), so that
-    cols @ geometry.rows is the exponent of the block.  On rows with
-    ROW_SCALE_EXPONENT < -(3/2) log(4 pi u) <= EXP_OVERFLOW, (4 pi u)^{-3/2}
-    is the row factor scale instead of a term of b (every such factor
-    exceeds e^10, and the other rows carry 1); scale is None when no row is
-    scaled.  On FlatTorus3 they are the Euclidean factors, for the rows on
-    which the torus block is the Euclidean block on |xi|^2; the block orders
-    and splits its rows per call.  rows[i:j] is the KernelRows of u[i:j],
-    with a scale only if one of its own rows is scaled; np.size, np.shape
-    and np.asarray see u.  A heat trace builds one per ladder extension, over
-    the nodes of all its new panels, and passes a slice of it per u-panel.
+    a(u) = -1/(4u) and b(u) = -(D/2) log(4 pi u) in D = 3 dimensions
+    (- u/a^2 on Hyperbolic3, followed by a column of ones for its
+    log(rho/sinh rho) row), so that cols @ geometry.rows is the exponent of
+    the block.  On rows with ROW_SCALE_EXPONENT < -(D/2) log(4 pi u) <=
+    EXP_OVERFLOW, (4 pi u)^{-D/2} is the row factor scale instead of a term
+    of b (every such factor exceeds e^10, and the other rows carry 1); scale
+    is None when no row is scaled.  On FlatTorus3 they are the Euclidean
+    factors, and on _IntrinsicCircle those of D = 1, for the rows on which
+    the block is the Euclidean block on |xi|^2; the block orders and splits
+    its rows per call.  rows[i:j] is the KernelRows of u[i:j], with a scale
+    only if one of its own rows is scaled; np.size, np.shape and np.asarray
+    see u.  A heat trace builds one per ladder extension, over the nodes of
+    all its new panels, and passes a slice of it per u-panel.
     """
 
     u: np.ndarray
@@ -290,15 +314,16 @@ class KernelRows:
                           scale[rows] if before[max(i, j)] > before[i] else None)
 
 
-def _radial_rows(u, a=None):
-    """The KernelRows of u on Euclidean3, or on Hyperbolic3 of curvature radius a."""
+def _radial_rows(u, a=None, dim=3):
+    """The KernelRows of u on Euclidean space of dimension dim, or on
+    Hyperbolic3 of curvature radius a."""
     cols = np.ones((u.shape[0], 2 if a is None else 3))
     cols[:, 0] = -0.25 / np.maximum(u, U_NORMAL)
     four_pi_u = 4.0 * math.pi * u
     b = cols[:, 1]
-    b[:] = -1.5 * np.log(four_pi_u)
+    b[:] = -0.5 * dim * np.log(four_pi_u)
     scaled = (b > ROW_SCALE_EXPONENT) & (b <= EXP_OVERFLOW)
-    scale = np.where(scaled, four_pi_u, 1.0)[:, None] ** -1.5 if scaled.any() else None
+    scale = np.where(scaled, four_pi_u, 1.0)[:, None] ** (-0.5 * dim) if scaled.any() else None
     b[scaled] = 0.0
     if a is not None:
         b -= u / a**2
@@ -314,6 +339,8 @@ def kernel_rows(manifold: ManifoldSpec, u) -> KernelRows:
         raise DomainError("diffusion times must be a 1-d array")
     if not u.min(initial=math.inf) > 0:  # a NaN fails it too
         raise DomainError("diffusion time must be positive")
+    if isinstance(manifold, _IntrinsicCircle):
+        return _radial_rows(u, dim=1)
     return _radial_rows(u, manifold.curvature_radius if isinstance(manifold, Hyperbolic3) else None)
 
 
@@ -470,7 +497,8 @@ def circle_heat_kernel(u, xi, L):
 
 
 def _torus_block(ls, r: KernelRows, g: KernelGeometry):
-    """FlatTorus3 kernel block: a product of circle kernels, one per axis.
+    """Flat torus kernel block, of FlatTorus3 or _IntrinsicCircle: a product
+    of circle kernels, one per axis of circumferences ls.
 
     Per axis, _circle_rows fills the rows in ascending u on the geometry's
     one row of separations, with the largest |xi| of this call.  Rows on
@@ -517,7 +545,7 @@ def heat_kernel_grid(manifold: ManifoldSpec, u, disp):
     """
     r = u if isinstance(u, KernelRows) else kernel_rows(manifold, u)
     g = disp if isinstance(disp, KernelGeometry) else kernel_geometry(manifold, disp)
-    if isinstance(manifold, FlatTorus3):
+    if isinstance(manifold, _FLAT_PERIODIC):
         return _torus_block(manifold.circumferences, r, g)
     return _radial_block(r, g.rows)
 

@@ -24,12 +24,14 @@ Only the u-weight depends on the energy, so every entry of Phi(E), of
 dPhi/dE and of the flow variant is sum_u g(u) W(E, u) T(u) over one heat
 trace T per curve pair (the kernel summed over that pair's (s, s') nodes
 with their curve weights), contracted per energy with W = w_mu_i - w_E,
--w_E, -w'_E, or the counterterm constant minus w_E.  The traces are built
-once per (family, manifold, quadrature config) and kept for as long as the
-family lives; every later call on that family (assemble, derivative_matrix,
-spectral_flow, ground_state_energy, feynman_hellman_residual) only
-contracts them, over exactly the u-panels its own energies need.  A family
-is therefore treated as immutable.
+-w_E, -w'_E, or the counterterm constant minus w_E.  The counterterm of
+curve i is one more heat trace, on the curve's own circle of length L_i
+(manifolds._IntrinsicCircle) over its inner xi grid, contracted once per
+call.  The traces are built once per (family, manifold, quadrature config)
+and kept for as long as the family lives; every later call on that family
+(assemble, derivative_matrix, spectral_flow, ground_state_energy,
+feynman_hellman_residual) only contracts them, over exactly the u-panels
+its own energies need.  A family is therefore treated as immutable.
 """
 
 from __future__ import annotations
@@ -45,19 +47,12 @@ import numpy as np
 
 from . import quadrature
 from .curves import CurveFamily, SampledCurve, _node_pairs
-from .manifolds import (
-    DomainError,
-    Euclidean3,
-    ManifoldSpec,
-    circle_heat_kernel,
-    pair_displacement,
-)
+from .manifolds import DomainError, Euclidean3, ManifoldSpec, _IntrinsicCircle, pair_displacement
 from .quadrature import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     SingWindowConfig,
     _HeatTrace,
-    _ambient_trace,
     _erfcx,
     _leggauss,
     check_energy_window,
@@ -194,28 +189,26 @@ class _TraceStore:
     Pair (i, j), i <= j: the kernel summed over the pairs of _pair_rule with
     its coefficients; a diagonal has one column for the whole xi range and
     one for the |xi| < delta band.  Counterterm i, created on first RGScale
-    use: the intrinsic-circle kernel on the same xi grid, contracted with
+    use: a trace on the curve's own circle, _IntrinsicCircle((L,)), over the
+    same xi grid as (n, 1) arc separations, contracted with
     erfcx(mu sqrt u)/(8 pi u), with an algebraic tail panel since that
-    weight decays only like u^{-3/2}.  Each trace evaluates
-    its u-panels on first use and appends panels when a call needs a longer
-    ladder; a call contracts exactly the ladder its own energies need.
+    weight decays only like u^{-3/2}.  Each trace evaluates its u-panels on
+    first use and appends panels when a call needs a longer ladder; a call
+    contracts exactly the ladder its own energies need.
     """
 
     def __init__(self, family: CurveFamily, manifold: ManifoldSpec, cfg: QuadratureConfig):
         self.cfg, self._curves, self.traces, self._counter = cfg, family.curves, {}, {}
         for i, j in itertools.combinations_with_replacement(range(len(family)), 2):
             x, y, coeffs = _pair_rule(family.curves[i], family.curves[j], cfg.sing_window)
-            self.traces[i, j] = _ambient_trace(manifold, pair_displacement(manifold, x, y),
-                                               coeffs, cfg)
+            self.traces[i, j] = _HeatTrace(manifold, pair_displacement(manifold, x, y), coeffs, cfg)
 
     def counterterm(self, i):
         """The RGScale counterterm trace of curve i (its xi grid and L do not depend on mu)."""
         if i not in self._counter:
             xi, cols = _inner_grid(self._curves[i], self.cfg.sing_window)
-            L = self._curves[i].length
-            self._counter[i] = _HeatTrace(
-                lambda u, xi: circle_heat_kernel(u[:, None], xi, L),
-                xi, np.abs(xi), cols, self.cfg, tail=True)
+            circle = _IntrinsicCircle((self._curves[i].length,))
+            self._counter[i] = _HeatTrace(circle, xi[:, None], cols, self.cfg, tail=True)
         return self._counter[i]
 
 

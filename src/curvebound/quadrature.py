@@ -48,14 +48,14 @@ transform).  The band only grows, as the panels' a rises, and is built
 once per trace: each growth re-interpolates the old proxies and absorbs the
 new pairs alone.  Each panel is one kernel call on the proxies and the
 active pairs beyond the band; once the band holds every pair, on the 16
-proxies alone.  FlatTorus3 traces and the counterterm's circle-kernel
-traces evaluate every active pair.
+proxies alone.  Traces on a flat torus evaluate every active pair: those
+on FlatTorus3, and the flow prescription's counterterm traces, which run on
+a curve's own circle (manifolds._IntrinsicCircle) like any other manifold.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -67,6 +67,7 @@ from .manifolds import (
     Euclidean3,
     KernelGeometry,
     ManifoldSpec,
+    _check_count,
     displacement_distance,
     heat_kernel_grid,
     kernel_geometry,
@@ -114,12 +115,6 @@ PROXY_SPREAD = 8.0
 # 16.5, 15.7, 15.5, 15.9 ms on solve and 6.39, 6.26, 6.21, 5.82, 6.11,
 # 5.89 ms on hyperbolic.
 BAND_GROWTH = 256
-
-
-def _check_count(name, value, least):
-    """Raise DomainError unless value is an integer of at least least."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise DomainError(f"{name} must be an integer of at least {least}")
 
 
 @dataclass(frozen=True)
@@ -347,7 +342,8 @@ def _chebyshev_proxies(lo, hi, x, c):
 
 
 class _HeatTrace:
-    """Energy-independent heat trace T(u) = sum_p c_p K_u(disp_p) of one entry.
+    """Energy-independent heat trace T(u) = sum_p c_p K_u(disp_p) of one entry,
+    K the heat kernel of manifold and disp a displacement batch on it.
 
     T is held on the nodes of both u-rules, the full and the half-order one,
     on the panels of u_panel_breaks (plus, with tail, an algebraic panel
@@ -359,16 +355,17 @@ class _HeatTrace:
     diffusion-time integral sum_p c_p int du w(u) K_u(disp_p), by both rules
     at once, is then (G * w(u)) @ T.
 
-    The pairs are sorted by their distance dist once; the ladder starts at
+    The pairs are sorted by their distance once; the ladder starts at
     the floor of the closest one, and on a panel [a, b] only the prefix of
     pairs with d^2 < BOUNDARY_LAYER b is evaluated (the tail panel takes
     all).  What a cut pair would add is its kernel below its own floor: a
     Gamma(1/2, 40) ~ 4e-19 share of its integral in Euclidean space, less on
-    Hyperbolic3 (rho/sinh rho <= 1, e^{-u/a^2} <= 1), and on FlatTorus3 a
-    sum of such Euclidean terms over images that are each at least as far
-    as the minimum image d (two per axis come near d while u < L_j^2/(4 pi)).
+    Hyperbolic3 (rho/sinh rho <= 1, e^{-u/a^2} <= 1), and on a flat torus
+    (FlatTorus3, or a curve's own circle) a sum of such Euclidean terms over
+    images that are each at least as far as the minimum image d (two per
+    axis come near d while u < L_j^2/(4 pi)).
 
-    A radial trace (a KernelGeometry without torus axes) of more than
+    A radial trace (its KernelGeometry has no torus axes) of more than
     PROXY_NODES pairs evaluates the pairs of its near band on PROXY_NODES
     proxy pairs (see PROXY_NODES for the error bound).  The band holds the
     first j pairs, those with d^2 - D0 <= PROXY_SPREAD a_b; a panel from a
@@ -383,22 +380,20 @@ class _HeatTrace:
     exactly that ladder, so a result never depends on which larger ladders
     were asked for before: prefix views of the held arrays, and with tail
     that prefix joined to the ladder's own tail panel (kept per ladder).  A
-    trace serves one mass m.  geometry(disp) prepares the sorted
-    displacements once, before the first panel; rows(u) prepares the u nodes
-    once per ladder extension, over all its new panels (and once per tail
-    panel); kernel(rows[i:j], geometry[:k]) returns the (j - i, k) kernel
-    block, and each new panel is one such call on its own slice of rows.
-    rows is np.asarray (plain u) unless given; a trace that is never
+    trace serves one mass m.  It builds the kernel_geometry of its sorted
+    displacements once, before the first panel, and the kernel_rows of the
+    u nodes once per ladder extension, over all its new panels (and once per
+    tail panel); each new panel is one heat_kernel_grid call on its own
+    slice of the rows and a slice of the geometry.  A trace that is never
     contracted costs nothing.
     """
 
-    def __init__(self, kernel, disp, dist, coeffs, cfg: QuadratureConfig, tail=False,
-                 geometry=None, rows=np.asarray):
+    def __init__(self, manifold, disp, coeffs, cfg: QuadratureConfig, tail=False):
+        dist = displacement_distance(manifold, disp)
         order = np.argsort(dist, kind="stable")
         d = np.asarray(dist, dtype=float)[order]
         self._d_min, self._d2 = float(d[0]), d * d
-        self._kernel, self._disp, self._geometry = kernel, np.asarray(disp)[order], geometry
-        self._rows = rows
+        self._manifold, self._disp = manifold, np.asarray(disp)[order]
         self._coeffs = np.atleast_2d(coeffs).T[order]
         self._cfg, self._tail = cfg, tail
         # the full- then the half-order rule's nodes x on [-1, 1], and their
@@ -444,14 +439,14 @@ class _HeatTrace:
         self._grow_at = (m, self._spread[m - 1]) if j < n else (math.inf, 0.0)
 
     def _prepare(self):
-        """Before the first panel: the geometry, and on a radial trace of more
-        than PROXY_NODES pairs PROXY_NODES free columns ahead of its pairs,
-        in the geometry and the coefficients, for the near band's proxies."""
-        if self._geometry is not None:
-            self._disp, self._geometry = self._geometry(self._disp), None
-        g, n = self._disp, len(self._d2)
+        """Before the first panel: the KernelGeometry, and on a radial trace
+        (one without torus axes) of more than PROXY_NODES pairs PROXY_NODES
+        free columns ahead of its pairs, in the geometry and the
+        coefficients, for the near band's proxies."""
+        g = self._disp = kernel_geometry(self._manifold, self._disp)
+        n = len(self._d2)
         self._pair0 = 0
-        if isinstance(g, KernelGeometry) and g.xi is None and not self._tail and n > PROXY_NODES:
+        if g.xi is None and n > PROXY_NODES:
             self._pair0, self._spread = PROXY_NODES, self._d2 - self._d2[0]
             padded = np.zeros((len(g.rows), PROXY_NODES + n))
             padded[:, PROXY_NODES:] = g.rows
@@ -461,9 +456,9 @@ class _HeatTrace:
             self._next_growth()
 
     def _panel(self, rows, k, a):
-        """T of one panel from a: one kernel call over rows, rows(u) of the
-        panel's nodes, and the k closest pairs, those in the near band by its
-        proxies.  Panels come in ascending order."""
+        """T of one panel from a: one kernel call over rows, the KernelRows of
+        the panel's nodes, and the k closest pairs, those in the near band by
+        its proxies.  Panels come in ascending order."""
         if self._pair0 is None:
             self._prepare()
         if k >= self._grow_at[0] and PROXY_SPREAD * a >= self._grow_at[1]:
@@ -471,14 +466,15 @@ class _HeatTrace:
         # the band's proxies, if any, then the active pairs beyond it
         g, coeffs = self._disp, self._coeffs
         first, end = self._band or self._pair0, self._pair0 + k
-        whole = first == 0 and end == len(coeffs)
-        return self._kernel(rows, g if whole else g[first:end]) @ coeffs[first:end]
+        if first or end < len(coeffs):
+            g = g[first:end]
+        return heat_kernel_grid(self._manifold, rows, g) @ coeffs[first:end]
 
     def _evaluate(self, u, G, starts, active):
         """(u, G, T) of the panels from starts, with active pairs each, u and
-        G a row per panel: one rows() call for all of them, then one kernel
-        call per panel."""
-        rows, width = self._rows(u.ravel()), u.shape[-1]
+        G a row per panel: one kernel_rows call for all of them, then one
+        kernel call per panel."""
+        rows, width = kernel_rows(self._manifold, u.ravel()), u.shape[-1]
         T = np.vstack([self._panel(rows[p * width:(p + 1) * width], k, lo)
                        for p, (lo, k) in enumerate(zip(starts, active))])
         return u.ravel(), G.reshape(2, -1), T
@@ -518,16 +514,6 @@ def _join(x, y):
     return np.hstack([x[0], y[0]]), np.hstack([x[1], y[1]]), np.vstack([x[2], y[2]])
 
 
-def _ambient_trace(manifold: ManifoldSpec, disp, coeffs, cfg: QuadratureConfig):
-    """_HeatTrace of the manifold's heat kernel over a pair_displacement batch,
-    whose KernelGeometry is built once, in the trace's distance order, and
-    whose KernelRows are built once per ladder extension."""
-    return _HeatTrace(lambda u, g: heat_kernel_grid(manifold, u, g), disp,
-                      displacement_distance(manifold, disp), coeffs, cfg,
-                      geometry=lambda d: kernel_geometry(manifold, d),
-                      rows=lambda u: kernel_rows(manifold, u))
-
-
 # ---------------------------------------------------------------------------
 # public scalar pair kernels
 
@@ -550,7 +536,7 @@ def _pair_integral(weight, x, y, m, e_max, manifold, cfg, distinct=None):
     d = float(displacement_distance(manifold, disp)[0])
     if distinct and d <= 0:
         raise DomainError(f"{distinct} pair kernel requires distinct points")
-    full, half = _ambient_trace(manifold, disp, 1.0, cfg).integrate(weight, m, e_max)[:, 0]
+    full, half = _HeatTrace(manifold, disp, 1.0, cfg).integrate(weight, m, e_max)[:, 0]
     return full, abs(full - half), d
 
 

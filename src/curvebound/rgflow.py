@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import SampledCurve
-from .manifolds import DomainError, circle_heat_kernel
+from .manifolds import DomainError, _check_count, circle_heat_kernel
 from .principal import DEFAULT_QUADRATURE, QuadratureConfig, rg_assemble
 from .quadrature import _gauss_laguerre, _leggauss
 
@@ -57,8 +57,8 @@ def beta(lambda_R: float, L: float = 2.0 * math.pi,
     Golub-Welsch eigenvalue method in NumPy, so they stay finite at any node
     count.
     """
-    if not (lambda_R > 0 and 0 < L < math.inf):
-        raise DomainError("beta needs lambda_R > 0 and a finite L > 0")
+    if not (0 < lambda_R < math.inf and 0 < L < math.inf):
+        raise DomainError("beta needs a finite lambda_R > 0 and a finite L > 0")
     closed = -lambda_R * lambda_R / _FOUR_PI
     if method == "closed_form":
         return closed
@@ -157,8 +157,9 @@ def flow_profile(lambda_mu: float, tau_min: float, tau_max: float, points: int) 
     (ode_flow_values), about 1e-10 or less up to the pole;
     closed_form_residual is the worst of them.
     """
-    if not 0 < tau_min <= tau_max < math.inf or points < 2:
-        raise DomainError("need 0 < tau_min <= tau_max < inf and at least two points")
+    if not 0 < tau_min <= tau_max < math.inf:
+        raise DomainError("need 0 < tau_min <= tau_max < inf")
+    _check_count("points", points, 2)
     taus = np.geomspace(tau_min, tau_max, points)
     lams = np.array([flow_coupling(lambda_mu, float(t)) for t in taus])
     betas = -lams * lams / _FOUR_PI

@@ -9,7 +9,6 @@ from curvebound import (
     Circle,
     DomainError,
     Euclidean3,
-    FlatTorus3,
     assemble,
     diagonal_lower_bound,
     euclidean_constants,
@@ -18,6 +17,7 @@ from curvebound import (
     ground_state_energy,
     near_diagonal_envelope,
     offdiagonal_upper_bound,
+    parse_config,
     resample_arclength,
 )
 from curvebound import cli
@@ -152,11 +152,22 @@ def test_energy_domain_checks():
         offdiagonal_upper_bound(-0.5, 1.0, -1.0, 2.0 * math.pi)
 
 
+def _bounds_pair(manifold, shapes, mus):
+    """A bounds config of two curves on the given manifold, with their mu."""
+    return {"manifold": manifold, "curves": [{"shape": s, "mu": mu} for s, mu in zip(shapes, mus)],
+            "task": {"kind": "bounds"}}
+
+
 def _torus_pair(side, shapes, mu):
     """A bounds config of two curves with equal mu on the cubic torus of the given side."""
-    return {"manifold": {"kind": "flat_torus3", "circumferences": [side] * 3},
-            "curves": [{"shape": shape, "mu": mu} for shape in shapes],
-            "task": {"kind": "bounds"}}
+    return _bounds_pair({"kind": "flat_torus3", "circumferences": [side] * 3}, shapes, [mu] * 2)
+
+
+def _hyperbolic_pair(a, radius, centers, mus):
+    """A bounds config of two horizontal circles of one radius on Hyperbolic3(a)."""
+    return _bounds_pair({"kind": "hyperbolic3", "curvature_radius": a},
+                        [{"kind": "circle", "center": c, "radius": radius, "normal": [0, 0, 1]}
+                         for c in centers], mus)
 
 
 def _x_loop(offset):
@@ -167,19 +178,27 @@ def _circle_at(z):
     return {"kind": "circle", "center": [1.5, 1.5, z], "radius": 0.6, "normal": [0, 0, 1]}
 
 
-TORUS_BOUNDS_CASES = {
+BOUNDS_CASES = {
     "loops_1.41_apart": _torus_pair(2.0, [_x_loop([0, 0, 0]), _x_loop([0, 1, 1])], 0.9),
     "loops_0.5_apart": _torus_pair(2.0, [_x_loop([0, 0, 0]), _x_loop([0, 0.5, 0])], 0.5),
     "circles_1.2_apart": _torus_pair(3.0, [_circle_at(0.9), _circle_at(2.1)], 0.5),
+    # Hyperbolic3, where the bounds are checked, not assumed: at most 0.037,
+    # 0.30 and 0.010 of the off-diagonal bound, and at least 0.0008, 0.0016
+    # and 0.0012 above the diagonal one
+    "hyperbolic_side_by_side": _hyperbolic_pair(1.0, 0.6, [[0, 0, 2], [1.6, 0, 2]],
+                                                [-0.3, -0.35]),
+    "hyperbolic_stacked": _hyperbolic_pair(1.5, 0.5, [[0, 0, 3], [0, 0, 4.5]], [0.5, 0.5]),
+    "hyperbolic_low": _hyperbolic_pair(1.0, 0.4, [[0, 0, 1], [0.9, 0, 1]], [0.8, 0.8]),
 }
 
 
-@pytest.mark.parametrize("name", sorted(TORUS_BOUNDS_CASES))
+@pytest.mark.parametrize("name", sorted(BOUNDS_CASES))
 def test_cli_bounds_constants_hold_on_the_torus(name, tmp_path, monkeypatch):
     # the torus kernel tends to 1/V at long times, so bounds must pass the
     # torus volume: with V = inf |Phi_12| reaches 1.98 times
-    # offdiagonal_upper_bound on the loops 1.41 apart
-    doc = TORUS_BOUNDS_CASES[name]
+    # offdiagonal_upper_bound on the loops 1.41 apart.  The Hyperbolic3 cases
+    # hold with the constants bounds passes there
+    doc = BOUNDS_CASES[name]
     passed = []
 
     def spy(family, constants=BoundConstants()):
@@ -191,11 +210,11 @@ def test_cli_bounds_constants_hold_on_the_torus(name, tmp_path, monkeypatch):
     cfg.write_text(json.dumps(doc))
     assert cli.main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     (family, constants), = passed
-    torus = FlatTorus3((doc["manifold"]["circumferences"][0],) * 3)
+    manifold = parse_config(cfg.read_text()).manifold
     m, mu_min = family.mass, float(np.min(family.mu))
     lengths = [c.length for c in family.curves]
     for E in np.linspace(-0.95, mu_min - 0.01, 12):
-        M = assemble(family, float(E), manifold=torus).entries
+        M = assemble(family, float(E), manifold=manifold).entries
         assert abs(M[0, 1]) <= offdiagonal_upper_bound(E, m, family.d_matrix[0, 1], max(lengths),
                                                        constants)
         assert np.min(np.diag(M)) >= diagonal_lower_bound(E, mu_min, m, min(lengths), constants)

@@ -21,6 +21,7 @@ from curvebound import (
     beta,
     circle_heat_kernel,
     diagonal_lower_bound,
+    eigen_decompose,
     family_geometry,
     feynman_hellman_residual,
     flow_coupling,
@@ -33,6 +34,7 @@ from curvebound import (
     resample_arclength,
 )
 from curvebound.cli import main
+from curvebound.config import FlowTask, ScanTask
 
 MINIMAL = {
     "mass": 1.0,
@@ -175,6 +177,9 @@ NON_FINITE = {
     "family_geometry.mass=inf": (DomainError, lambda: _unit_circle_family(mass=math.inf)),
     "family_geometry.mu=nan": (DomainError, lambda: _unit_circle_family(mu=math.nan)),
     "beta.lambda_R=nan": (DomainError, lambda: beta(math.nan)),
+    "beta.lambda_R=inf": (DomainError, lambda: beta(math.inf)),
+    "beta.closed_form.lambda_R=inf": (DomainError,
+                                      lambda: beta(math.inf, method="closed_form")),
     "beta.L=inf": (DomainError, lambda: beta(1.0, L=math.inf)),
     "flow_coupling.lambda=nan": (DomainError, lambda: flow_coupling(math.nan, 2.0)),
     "flow_coupling.lambda=inf": (DomainError, lambda: flow_coupling(math.inf, 1.0)),
@@ -212,6 +217,8 @@ NON_FINITE = {
         DomainError, lambda: feynman_hellman_residual(_unit_circle_family(), -0.5, h=0.0)),
     "feynman_hellman_residual.h<0": (
         DomainError, lambda: feynman_hellman_residual(_unit_circle_family(), -0.5, h=-1e-4)),
+    # not non-finite either, but a 1-d array has no second axis to compare
+    "eigen_decompose.1d": (DomainError, lambda: eigen_decompose(np.ones(3))),
 }
 
 
@@ -230,13 +237,19 @@ NOT_INTEGER = {
     "QuadratureConfig.u_nodes=24.0": lambda: QuadratureConfig(u_nodes=24.0),
     "SingWindowConfig.log_nodes=4.5": lambda: SingWindowConfig(log_nodes=4.5),
     "SingWindowConfig.far_nodes=24.0": lambda: SingWindowConfig(far_nodes=24.0),
+    "resample_arclength.n=8.5": lambda: resample_arclength(Circle((0, 0, 0), 1.0), 8.5),
+    "resample_arclength.n=64.0": lambda: resample_arclength(Circle((0, 0, 0), 1.0), 64.0),
+    "ScanTask.points=2.5": lambda: ScanTask(-0.5, 0.0, 2.5),
+    "FlowTask.points=2.5": lambda: FlowTask(1.0, 0.5, 2.0, 2.5),
+    "flow_profile.points=3.5": lambda: flow_profile(1.0, 0.5, 2.0, 3.5),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NOT_INTEGER))
 def test_node_counts_must_be_integers(case):
-    # a fractional count would fail deep in numpy's Gauss-Legendre rule, or
-    # round up silently in beta's Laguerre rule
+    # a fractional count would fail deep in numpy's Gauss-Legendre rule or
+    # np.geomspace, round up silently in beta's Laguerre rule, or pass a
+    # task's range check
     with pytest.raises(DomainError):
         NOT_INTEGER[case]()
     assert QuadratureConfig(t_nodes=np.int64(20), u_nodes=np.int64(20)).u_nodes == 20

@@ -587,22 +587,13 @@ def test_traces_die_with_their_family():
         gc.enable()
 
 
-def test_each_new_panel_is_one_kernel_call(kernel_counter, monkeypatch):
+def test_each_new_panel_is_one_kernel_call(kernel_counter):
     # a panel's full and half-order rule, and the counterterm's algebraic tail
-    # panel, come from one kernel call over the nodes of both rules
-    circle_calls = [0]
-    original = principal.circle_heat_kernel
-
-    def counted(*args):
-        circle_calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(principal, "circle_heat_kernel", counted)
+    # panel, come from one heat_kernel_grid call over the nodes of both rules
     store = _trace_store(circle_family([1.0]), EUCLID, DEFAULT_QUADRATURE)
     full, half = DEFAULT_QUADRATURE.u_nodes, max(8, DEFAULT_QUADRATURE.u_nodes // 2)
-    for trace, calls, tail in ((store.traces[0, 1], lambda: kernel_counter[1], 0),
-                               (store.counterterm(0), lambda: circle_calls[0], 1)):
-        held = made = 0  # panels held, kernel calls made
+    for trace, tail in ((store.traces[0, 1], 0), (store.counterterm(0), 1)):
+        held = kernel_counter[1] = 0  # panels held, kernel calls made
         for e_max in (0.3, 0.9):  # a fresh ladder, then the panels a longer one adds
             u, G, T = trace.rules(1.0, e_max)
             assert G.shape == (2, len(u)) and len(T) == len(u)
@@ -612,8 +603,25 @@ def test_each_new_panel_is_one_kernel_call(kernel_counter, monkeypatch):
             assert np.all(G[0, :, :full] > 0) and np.all(G[1, :, full:] > 0)
             assert not np.any(G[0, :, full:]) and not np.any(G[1, :, :full])
             panels = len(u) // (full + half) - tail
-            assert calls() - made == panels - held + tail
-            held, made = panels, calls()
+            assert kernel_counter[1] == panels - held + tail > tail
+            held, kernel_counter[1] = panels, 0
+
+
+def test_rg_assemble_makes_no_circle_heat_kernel_call(kernel_counter, monkeypatch):
+    # the counterterm is a heat trace on the curve's own circle, through
+    # heat_kernel_grid like every other trace; circle_heat_kernel is the
+    # public reference alone
+    def unused(*args):
+        raise AssertionError("circle_heat_kernel called")
+
+    for name in ("manifolds", "quadrature", "principal", "spectrum"):
+        module = importlib.import_module(f"curvebound.{name}")
+        if hasattr(module, "circle_heat_kernel"):
+            monkeypatch.setattr(module, "circle_heat_kernel", unused)
+    family, p = circle_family([1.0]), RGScale(mu=0.5, lambda_R=100.0)
+    assemble(family, -0.5, p)
+    spectral_flow(family, [-0.6, -0.2], p)
+    assert kernel_counter[1] > 0
 
 
 def test_a_ladder_extension_builds_its_kernel_rows_once(kernel_counter, monkeypatch):
@@ -687,16 +695,34 @@ def test_assemble_evaluates_each_weight_once_for_all_entries(monkeypatch):
         assert M.entries[i, j] == ref
 
 
+def _long_double_circle(u, xi, L):
+    """The circle kernel in long double: 21 images below u = L^2/(4 pi), 10
+    modes from there on, each dropped term below e^-150 of the sum."""
+    u, xi, L = (np.asarray(a, dtype=np.longdouble) for a in (u, xi, L))
+    k = np.arange(-10, 11, dtype=np.longdouble)[:, None, None]
+    images = (np.exp(-(xi + k * L) ** 2 / (4 * u)).sum(axis=0)
+              / np.sqrt(4 * np.longdouble(math.pi) * u))
+    n = np.arange(1, 11, dtype=np.longdouble)[:, None, None]
+    two_pi = 2 * np.longdouble(math.pi)
+    modes = (1 + 2 * (np.exp(-(two_pi * n) ** 2 * u / L**2)
+                      * np.cos(two_pi * n * xi / L)).sum(axis=0)) / L
+    return np.where(u < L * L / (2 * two_pi), images, modes)
+
+
 def test_rg_pair_matches_a_long_double_kernel(monkeypatch):
     # where log(4 pi u) is large, (4 pi u)^{-3/2} is a row factor, so the
     # near-coincident pairs at tiny u keep their last bits through the
-    # counterterm subtraction
+    # counterterm subtraction; the counterterm's circle kernel, whose flat
+    # rows carry (4 pi u)^{-1/2} the same way, is checked in long double too
     p, E = RGScale(mu=0.5, lambda_R=100.0), -0.5
     got = assemble(circle_family([3.6]), E, p).entries
 
     def long_double(manifold, u, disp):
-        d2 = np.asarray(disp.rows[0], dtype=np.longdouble)
         u = np.asarray(u, dtype=np.longdouble)[:, None]
+        if disp.xi is not None:  # a curve's own circle, one axis
+            (L,), (xi,) = manifold.circumferences, disp.xi
+            return _long_double_circle(u, xi, L).astype(float)
+        d2 = np.asarray(disp.rows[0], dtype=np.longdouble)
         return (np.exp(-d2 / (4 * u)) / (np.longdouble(4.0 * math.pi) * u) ** 1.5).astype(float)
 
     monkeypatch.setattr(curvebound.quadrature, "heat_kernel_grid", long_double)
@@ -748,21 +774,42 @@ def test_circle_kernel_calls_make_no_subnormal_exp(exp_counter, call):
     assert exp_counter[1] == 0
 
 
-def test_trace_panels_reuse_the_kernel_geometry(monkeypatch):
-    # log(rho/sinh rho) depends on the pairs alone: one evaluation per trace,
-    # before its first panel, and none per u-panel
+def _counterterm_traces(store):
+    return [store.counterterm(i) for i in range(len(store._curves))]
+
+
+def _count_panel_geometry(monkeypatch, function, case, traces_of):
+    # what depends on the pairs alone is evaluated once per trace, before its
+    # first panel, and never per u-panel
+    make, _, manifold, _ = PRUNING_CASES[case]
     calls = [0]
-    original = curvebound.manifolds._log_sinh_ratio
+    original = getattr(curvebound.manifolds, function)
 
-    def counted(rho):
+    def counted(*args):
         calls[0] += 1
-        return original(rho)
+        return original(*args)
 
-    monkeypatch.setattr(curvebound.manifolds, "_log_sinh_ratio", counted)
-    make, _, manifold, _ = PRUNING_CASES["hyperbolic_pair"]
-    store = _trace_store(make(), manifold, DEFAULT_QUADRATURE)
+    for module in (curvebound.manifolds, quadrature):
+        if hasattr(module, function):
+            monkeypatch.setattr(module, function, counted)
+    traces = traces_of(_trace_store(make(), manifold, DEFAULT_QUADRATURE))
     assert calls[0] == 0
     for e_max in (0.3, 0.9):
-        for trace in store.traces.values():
+        for trace in traces:
             trace.rules(1.0, e_max)
-    assert calls[0] == len(store.traces) == 3
+    return calls[0], len(traces)
+
+
+def test_trace_panels_reuse_the_kernel_geometry(monkeypatch):
+    # log(rho/sinh rho) of each hyperbolic pair
+    calls, n_traces = _count_panel_geometry(
+        monkeypatch, "_log_sinh_ratio", "hyperbolic_pair",
+        lambda store: list(store.traces.values()))
+    assert calls == n_traces == 3
+
+
+def test_counterterm_panels_reuse_the_kernel_geometry(monkeypatch):
+    # the wrapped arc separations and their cosine table
+    calls, n_traces = _count_panel_geometry(
+        monkeypatch, "kernel_geometry", "rg_counterterm", _counterterm_traces)
+    assert calls == n_traces >= 2
