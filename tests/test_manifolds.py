@@ -20,6 +20,7 @@ from curvebound.manifolds import (
     POISSON_SWITCH,
     ROW_SCALE_EXPONENT,
     _log_sinh_ratio,
+    _wrap,
     heat_kernel_grid,
     kernel_geometry,
     kernel_rows,
@@ -383,7 +384,8 @@ def test_circle_kernel_truncation_matches_full_series(L):
     for n in range(1, 7):
         modes = modes + 2.0 * np.exp(-4.0 * math.pi**2 * n**2 * uc / L**2) * np.cos(
             2.0 * math.pi * n * xi / L)
-    wrapped = (xi + 0.5 * L) % L - 0.5 * L
+    # the minimal image of each xi in [-L, L], exact: a shift by L is exact there
+    wrapped = np.where(xi > 0.5 * L, xi - L, np.where(xi < -0.5 * L, xi + L, xi))
     images = np.zeros((len(u), len(xi)))
     for k in range(-6, 7):
         images = images + np.exp(-((wrapped + k * L) ** 2) / (4.0 * uc))
@@ -470,3 +472,12 @@ def test_log_sinh_ratio_matches_its_direct_form():
     np.testing.assert_allclose(_log_sinh_ratio(rho[near]), direct[near], rtol=0, atol=1e-14)
     far = np.array([800.0, 1e5, 1e300])
     np.testing.assert_allclose(_log_sinh_ratio(far), np.log(2.0 * far) - far, rtol=1e-15)
+
+
+def test_wrap_keeps_differences_in_range_exact():
+    # (delta + L/2) % L - L/2 rounds delta to a multiple of ulp(L/2)
+    assert _wrap(1e-13, 2.0 * math.pi) == 1e-13
+    delta = np.array([1e-15, -3e-14, 0.5, -2.0, 2.0])
+    np.testing.assert_array_equal(_wrap(delta, 4.0), delta)
+    np.testing.assert_allclose(_wrap(np.array([5.0, -7.5, 9.0 + 1e-13]), 4.0),
+                               [1.0, 0.5, 1.0 + 1e-13], rtol=0, atol=1e-15)

@@ -133,6 +133,18 @@ def test_rg_assemble_raises_convergence_error_like_assemble():
         rg_assemble(curve, -0.3, 0.5, 1.0, cfg=tight)
 
 
+def test_rg_assemble_does_not_depend_on_the_band_depth():
+    # the RGScale diagonal is the counterterm trace minus the ambient one,
+    # both ~ 1/(8 pi xi) at the band's deepest nodes, xi ~ delta e^{-log_depth};
+    # a separation rounded by the periodic wrap moved it to 0.0897 at depth
+    # 32 and 4.1 at depth 40
+    curve = resample_arclength(Circle((0, 0, 0), 1.0), 64)
+    values = [rg_assemble(curve, -0.5, 0.5, 100.0, cfg=QuadratureConfig(
+        sing_window=dataclasses.replace(DEFAULT_QUADRATURE.sing_window, log_depth=depth)))
+        for depth in (24.0, 32.0, 40.0)]
+    assert max(values) - min(values) <= 1e-9 * abs(values[0])
+
+
 def test_band_contribution_recorded(single_family):
     M = assemble(single_family, -0.5)
     assert M.band_contributions.shape == (1,)
