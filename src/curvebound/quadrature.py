@@ -16,18 +16,25 @@ The weight is evaluated through erfcx in a sign-split form that stays finite
 for any -m < E < m and any u (the naive product overflows once E^2 u > 700).
 erfcx is Weideman's rational expansion of the Faddeeva function on the real
 axis (J. A. C. Weideman, SIAM J. Numer. Anal. 31 (1994) 1497), in NumPy.
-u-integration uses geometric panels with Gauss-Legendre nodes between a
-boundary-layer floor ~ d^2/160 and an exponential-tail cap set by the
-largest |energy| in play, and the error estimate is the defect of a
-half-order Gauss-Legendre rule with its own max(8, u_nodes/2) nodes per
-panel (12 of a panel's 36 kernel evaluations at the default 24).
+u-integration covers geometric panels between a boundary-layer floor
+~ d^2/160 and an exponential-tail cap set by the largest |energy| in play,
+by the plain trapezoid rule in t = log u: each integrand u w(u) K_u(d) is
+analytic in the strip |Im t| < pi/2 and decays doubly exponentially at both
+ends, so the rule converges like e^{-pi^2/h} (Trefethen and Weideman, SIAM
+Rev. 56 (2014) 385).  The panels hold one uniform grid in t, 8 nodes per
+ratio-4 panel at the default h = 0.173, and the error estimate is the
+defect of the same rule on the even nodes, of step 2h.  The flow
+prescription's counterterm, whose weight decays only like u^{-3/2}, keeps
+Gauss-Legendre panels, a full and a half-order rule, and an algebraic tail
+panel out to infinity: the trapezoid rule needs an integrand that vanishes
+at both ends of its grid.
 
 Only the weight depends on the energy.  A weighted sum of kernels over
 point pairs, T(u) = sum_p c_p K_u(disp_p), is therefore evaluated once on
 the u-rule nodes (``_HeatTrace``), and any energy's integral is the
 contraction sum_u g(u) w(E, u) T(u) with the rule weights g.  A trace holds
 its rules as (u, G, T): the nodes of both rules in one vector, their
-weights as the two rows of G (each 0 on the other rule's nodes) and T a
+weights as the two rows of G (each 0 where its rule has no node) and T a
 row per node, so both rules' integrals are (G * w(u)) @ T.  The
 boundary-layer floor applies per pair: the ladder starts at the closest
 pair's floor, and a pair at distance d enters the sum only on the panels
@@ -137,6 +144,21 @@ class SingWindowConfig:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Quadrature settings.
+
+    u_nodes sets the step of the trapezoid rule in t = log u: u_nodes steps
+    span a factor 64 of u (h0 = 3 ln 4/u_nodes), and each u-panel [a, a r],
+    r = panel_ratio, holds the even count n nearest ln(r)/h0 of them, so the
+    step is ln(r)/n: n = 8 and h = 0.173 at the defaults, n = 10 and
+    h = 0.139 at u_nodes = 32.  The counterterm traces of the flow
+    prescription take u_nodes Gauss-Legendre nodes per panel and
+    max(8, u_nodes/2) for their half-order rule.  panel_ratio is the ratio
+    of each u-panel, the unit on which pairs are pruned and the ladder
+    grows.  rgflow.beta's Gauss-Laguerre rules take t_nodes and u_nodes
+    nodes.  rel_tol and abs_tol bound the accepted error estimate, and
+    sing_window sets the near-diagonal curve rule.
+    """
+
     t_nodes: int = 32
     u_nodes: int = 24
     rel_tol: float = 1e-8
@@ -294,6 +316,37 @@ def gauss_panels(a, b, n):
     return mid + half * x, half * w
 
 
+# the factor of u that u_nodes trapezoid steps span, three ratio-4 panels
+_LOG_U_SPAN = 3.0 * math.log(4.0)
+
+
+def _log_trapezoid(cfg: QuadratureConfig):
+    """(x, g) of the trapezoid rule in t = log u on a panel [a, a r], r =
+    panel_ratio, as nodes a x and weights a g: n steps of h = ln(r)/n, n the
+    even count nearest ln(r)/h0 with h0 = _LOG_U_SPAN/u_nodes (at least 2),
+    x_k = e^{kh} for k = 0..n-1; g[0] = h x (du = u dt), and g[1] = 2 h x on
+    even k and 0 on odd k, the rule of step 2h on the even nodes.  The
+    panels of u_panel_breaks step by exactly r, so a ladder's nodes are one
+    uniform grid in t and its half rule is that grid's even nodes.
+    """
+    n = 2 * max(1, round(math.log(cfg.panel_ratio) * cfg.u_nodes / (2.0 * _LOG_U_SPAN)))
+    h = math.log(cfg.panel_ratio) / n
+    x = np.exp(h * np.arange(n))
+    g = np.outer([h, 2.0 * h], x)
+    g[1, 1::2] = 0.0
+    return x, g
+
+
+def _gauss_pair(cfg: QuadratureConfig):
+    """(x, g): the u_nodes-point Gauss-Legendre nodes on [-1, 1], then the
+    max(8, u_nodes/2) of the half-order rule, and their weights as two rows,
+    each 0 on the other rule's nodes."""
+    (x, w), (y, v) = _leggauss(cfg.u_nodes), _leggauss(max(8, cfg.u_nodes // 2))
+    g = np.zeros((2, len(x) + len(y)))
+    g[0, :len(x)], g[1, len(x):] = w, v
+    return np.concatenate([x, y]), g
+
+
 def u_panel_breaks(d_min, m, e_max, cfg: QuadratureConfig):
     """Geometric panel breakpoints covering the boundary layer and the tail.
 
@@ -346,12 +399,17 @@ class _HeatTrace:
     K the heat kernel of manifold and disp a displacement batch on it.
 
     T is held on the nodes of both u-rules, the full and the half-order one,
-    on the panels of u_panel_breaks (plus, with tail, an algebraic panel
-    u = u_top/s^2 out to infinity), one column per coefficient vector.  The
-    rules are three arrays: u, every node of both rules, panel-major with
-    each panel's full-rule nodes first; G, a (2, len(u)) matrix whose row 0
-    holds the full rule's weights (0 on half-rule nodes) and row 1 the half
-    rule's (0 on full-rule nodes); and T, a row per node.  Every
+    on the panels of u_panel_breaks, one column per coefficient vector.
+    Without tail, the rule is the trapezoid rule in t = log u
+    (_log_trapezoid): a panel [a, a r] holds the n nodes a e^{kh}, k < n, so
+    the ladder is the one grid t_floor + k h, and the half rule, of step 2h,
+    is its even nodes.  With tail (the counterterm, whose weight decays only
+    like u^{-3/2}), each panel holds the nodes of two Gauss-Legendre rules
+    (_gauss_pair), the full rule's first, and the ladder ends in an
+    algebraic panel u = u_top/s^2 out to infinity.  The rules are three
+    arrays: u, every node of both rules, panel-major; G, a (2, len(u))
+    matrix whose row 0 holds the full rule's weights and row 1 the half
+    rule's (0 where that rule has no node); and T, a row per node.  Every
     diffusion-time integral sum_p c_p int du w(u) K_u(disp_p), by both rules
     at once, is then (G * w(u)) @ T.
 
@@ -396,11 +454,10 @@ class _HeatTrace:
         self._manifold, self._disp = manifold, np.asarray(disp)[order]
         self._coeffs = np.atleast_2d(coeffs).T[order]
         self._cfg, self._tail = cfg, tail
-        # the full- then the half-order rule's nodes x on [-1, 1], and their
-        # weights g as two rows, each 0 on the other rule's nodes
-        (x, w), (y, v) = _leggauss(cfg.u_nodes), _leggauss(max(8, cfg.u_nodes // 2))
-        self._x, self._g = np.concatenate([x, y]), np.zeros((2, len(x) + len(y)))
-        self._g[0, :len(x)], self._g[1, len(x):] = w, v
+        # one panel's nodes x and their weights g as two rows, the full rule's
+        # and the half rule's: a panel [a, b] maps them to shift + scale x and
+        # scale g (see rules)
+        self._x, self._g = _gauss_pair(cfg) if tail else _log_trapezoid(cfg)
         # (u, G, T) of the held panels
         self._held = np.empty(0), np.empty((2, 0)), np.empty((0, self._coeffs.shape[1]))
         self._ladders = {}  # with tail: panel count -> the rules() of that ladder
@@ -487,11 +544,14 @@ class _HeatTrace:
             return self._ladders[n]
         held, end = len(self._held[0]) // len(self._x), n * len(self._x)
         a, b = breaks[held:-1], breaks[held + 1:]
-        if len(a):  # the rules mapped onto each new panel [a, b], as gauss_panels does
-            mid, half = (0.5 * (a + b))[:, None], (0.5 * (b - a))[:, None]
+        if len(a):
+            if self._tail:  # [-1, 1] onto each new panel [a, b], as gauss_panels does
+                shift, scale = (0.5 * (a + b))[:, None], (0.5 * (b - a))[:, None]
+            else:  # the trapezoid nodes e^{kh} on [1, r) times a
+                shift, scale = 0.0, a[:, None]
             active = np.searchsorted(self._d2, BOUNDARY_LAYER * b).tolist()
             self._held = _join(self._held, self._evaluate(
-                mid + half * self._x, half * self._g[:, None], a.tolist(), active))
+                shift + scale * self._x, scale * self._g[:, None], a.tolist(), active))
         u, G, T = self._held
         ladder = u[:end], G[:, :end], T[:end]
         # with tail, the ladder's own algebraic panel u = u_top/s^2, s in (0, 1]:

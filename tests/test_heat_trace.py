@@ -170,6 +170,48 @@ def test_panel_ladders_nest_across_energies():
         assert high[-1] >= 45.0 / (1.0 - 0.99**2)
 
 
+def _fresh_trace(name="gap_circles", ij=(0, 1)):
+    make, _, manifold, _ = PRUNING_CASES[name]
+    return _trace_store(make(), manifold, DEFAULT_QUADRATURE).traces[ij]
+
+
+@pytest.mark.parametrize("name,ij", [("gap_circles", (0, 1)), ("polyline_diagonal", (0, 0)),
+                                     ("torus_circle", (0, 0))])
+def test_half_rule_is_the_even_nodes_at_twice_the_weight(name, ij):
+    # one uniform grid in t = log u across the whole ladder; the half rule,
+    # of step 2h, weighs its even nodes by exactly twice the full rule's
+    u, G, _ = _fresh_trace(name, ij).rules(1.0, 0.9)
+    t = np.log(u)
+    h = G[0, 0] / u[0]
+    np.testing.assert_allclose(np.diff(t), h, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(G[0], h * u, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(G[1, 0::2], 2.0 * G[0, 0::2])
+    assert not np.any(G[1, 1::2])
+
+
+def test_ladder_for_a_smaller_e_max_is_a_prefix_of_a_larger_one():
+    # two fresh traces: the rules of the shorter ladder are the first nodes,
+    # weights and kernel rows of the longer one, bit for bit
+    (u, G, T), (u_long, G_long, T_long) = (_fresh_trace().rules(1.0, e) for e in (0.3, 0.9))
+    n = len(u)
+    assert 0 < n < len(u_long)
+    np.testing.assert_array_equal(u, u_long[:n])
+    np.testing.assert_array_equal(G, G_long[:, :n])
+    np.testing.assert_array_equal(T, T_long[:n])
+
+
+def test_more_u_nodes_give_a_smaller_step():
+    # the benchmark's reference config stays finer than the default
+    fine = QuadratureConfig(u_nodes=32,
+                            sing_window=quadrature.SingWindowConfig(log_nodes=28, far_nodes=32))
+    steps = [quadrature._log_trapezoid(cfg)[1][0, 0] for cfg in (DEFAULT_QUADRATURE, fine)]
+    assert steps[1] < steps[0] < 0.18
+    for cfg in (DEFAULT_QUADRATURE, fine):
+        x, g = quadrature._log_trapezoid(cfg)
+        assert len(x) % 2 == 0
+        assert len(x) * math.log(x[1]) == pytest.approx(math.log(cfg.panel_ratio), rel=1e-14)
+
+
 def test_hyperbolic_distance_resolves_near_coincidence():
     # acosh(1 + q) rounds q < 1e-16 to zero; the band nodes of the diagonal
     # xi grid sit that close
@@ -352,15 +394,16 @@ def test_assemble_then_derivative_evaluates_each_kernel_node_once(kernel_counter
     assemble(family, E)
     derivative_matrix(family, E)
     # one diagonal trace, on the ladder both calls need: on each panel, every
-    # full- and half-rule node times the k pairs above their own floor, the j
-    # of the near band by its PROXY_NODES proxies.  A panel from a grows the
-    # band to the active pairs with d^2 - D0 <= PROXY_SPREAD a once that
-    # adds BAND_GROWTH pairs or the last ones
+    # node of its rule (the half rule's are among them) times the k pairs
+    # above their own floor, the j of the near band by its PROXY_NODES
+    # proxies.  A panel from a grows the band to the active pairs with
+    # d^2 - D0 <= PROXY_SPREAD a once that adds BAND_GROWTH pairs or the
+    # last ones
     cfg = DEFAULT_QUADRATURE
     d = np.sort(_rule_pairs(family.curves[0], family.curves[0], EUCLID)[0])
     d2 = d * d
     breaks = u_panel_breaks(float(d[0]), 1.0, max(abs(E), abs(family.mu[0])), cfg)
-    nodes = cfg.u_nodes + max(8, cfg.u_nodes // 2)
+    nodes = len(_trace_store(family, EUCLID, cfg).traces[0, 0]._x)
     expected, j, part_band_panels = 0, 0, 0
     for a, b in zip(breaks[:-1], breaks[1:]):
         k = int(np.searchsorted(d2, BOUNDARY_LAYER * b))
@@ -591,18 +634,23 @@ def test_each_new_panel_is_one_kernel_call(kernel_counter):
     # a panel's full and half-order rule, and the counterterm's algebraic tail
     # panel, come from one heat_kernel_grid call over the nodes of both rules
     store = _trace_store(circle_family([1.0]), EUCLID, DEFAULT_QUADRATURE)
-    full, half = DEFAULT_QUADRATURE.u_nodes, max(8, DEFAULT_QUADRATURE.u_nodes // 2)
     for trace, tail in ((store.traces[0, 1], 0), (store.counterterm(0), 1)):
         held = kernel_counter[1] = 0  # panels held, kernel calls made
+        width, weighted = len(trace._x), trace._g > 0  # a panel's nodes, and where each rule weighs
+        if tail:  # Gauss-Legendre: the full rule's nodes, then the half rule's
+            full = DEFAULT_QUADRATURE.u_nodes
+            assert np.array_equal(weighted, (np.arange(width) < full) ^ [[False], [True]])
+        else:  # the trapezoid rule: the half rule is the even nodes
+            assert np.array_equal(weighted, [[True], [False]] | (np.arange(width) % 2 == 0))
         for e_max in (0.3, 0.9):  # a fresh ladder, then the panels a longer one adds
             u, G, T = trace.rules(1.0, e_max)
             assert G.shape == (2, len(u)) and len(T) == len(u)
-            # panel-major, each panel's full-rule nodes, weighted in row 0
-            # alone, before its half-rule nodes, weighted in row 1 alone
-            G = G.reshape(2, -1, full + half)
-            assert np.all(G[0, :, :full] > 0) and np.all(G[1, :, full:] > 0)
-            assert not np.any(G[0, :, full:]) and not np.any(G[1, :, :full])
-            panels = len(u) // (full + half) - tail
+            # panel-major, each panel's nodes weighted by each rule exactly
+            # where that rule has a node
+            G = G.reshape(2, -1, width)
+            assert np.all(G.transpose(1, 0, 2)[:, weighted] > 0)
+            assert not np.any(G.transpose(1, 0, 2)[:, ~weighted])
+            panels = len(u) // width - tail
             assert kernel_counter[1] == panels - held + tail > tail
             held, kernel_counter[1] = panels, 0
 
@@ -626,8 +674,8 @@ def test_rg_assemble_makes_no_circle_heat_kernel_call(kernel_counter, monkeypatc
 
 def test_a_ladder_extension_builds_its_kernel_rows_once(kernel_counter, monkeypatch):
     # what depends on u alone is built once per ladder extension, over the
-    # nodes of all its new panels, panel-major with each panel's full-rule
-    # nodes first; each panel is still one kernel call, on its own slice
+    # nodes of all its new panels, panel-major; each panel is still one
+    # kernel call, on its own slice
     built = []
     original = quadrature.kernel_rows
 
@@ -637,16 +685,16 @@ def test_a_ladder_extension_builds_its_kernel_rows_once(kernel_counter, monkeypa
 
     monkeypatch.setattr(quadrature, "kernel_rows", counted)
     trace = _trace_store(_polyline_family(), EUCLID, DEFAULT_QUADRATURE).traces[0, 0]
-    full, half = DEFAULT_QUADRATURE.u_nodes, max(8, DEFAULT_QUADRATURE.u_nodes // 2)
+    width = len(trace._x)  # a panel's nodes
     held = 0
     for e_max in (0.3, 0.9):  # a fresh ladder, then the panels a longer one adds
         u = trace.rules(1.0, e_max)[0]
-        panels = len(u) // (full + half)
+        panels = len(u) // width
         assert len(built) == 1 and kernel_counter[1] == panels - held > 0
         rows = built.pop()
-        assert rows.size == np.size(rows) == (panels - held) * (full + half)
+        assert rows.size == np.size(rows) == (panels - held) * width
         assert np.shape(rows) == (rows.size,)
-        np.testing.assert_array_equal(np.asarray(rows), u[held * (full + half):])
+        np.testing.assert_array_equal(np.asarray(rows), u[held * width:])
         held, kernel_counter[1] = panels, 0
     trace.rules(1.0, 0.3)  # a shorter ladder adds no panel
     assert built == [] and kernel_counter[1] == 0

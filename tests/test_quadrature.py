@@ -149,6 +149,20 @@ def test_refinement_convergence():
         assert abs(a - b) <= base.rel_tol * max(abs(a), abs(b))
 
 
+def test_plain_kernel_matches_the_oracle_and_its_estimate_bounds_the_error():
+    # the trapezoid rule in log u converges geometrically: its error is at
+    # rounding, and the defect of the even nodes (step 2h) bounds it while
+    # staying far below rel_tol
+    for d in np.geomspace(1e-9, 6.0, 9):
+        x, y = pts(d)
+        for E in np.linspace(-0.95, 0.95, 9):
+            got = pair_kernel_plain(E, x, y, 1.0)
+            ref = flat_resolvent_oracle(E, d, 1.0)
+            err = abs(got.value - ref)
+            assert err <= 1e-14 * abs(ref)
+            assert err <= got.err_estimate <= 2e-9 * abs(ref)
+
+
 def test_error_estimates_are_conservative_scale():
     x, y = pts(1.0)
     v = pair_kernel_plain(-0.5, x, y, 1.0)
