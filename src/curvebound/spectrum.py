@@ -58,7 +58,7 @@ def eigen_decompose(M):
     a = M.entries if isinstance(M, PrincipalMatrix) else np.asarray(M, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("eigen_decompose expects a square 2-d array")
-    if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
+    if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(a).max(initial=0.0)))):
         raise DomainError("eigen_decompose expects a symmetric matrix")
     vals, vecs = np.linalg.eigh(a)
     return vals, vecs

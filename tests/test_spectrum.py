@@ -29,6 +29,11 @@ def test_decompose_scalar():
     assert abs(vecs[0, 0]) == pytest.approx(1.0)
 
 
+def test_decompose_empty_matrix():
+    vals, vecs = eigen_decompose(np.zeros((0, 0)))
+    assert vals.shape == (0,) and vecs.shape == (0, 0)
+
+
 def test_decompose_symmetric_pair():
     a, b = 2.0, -0.7
     vals, vecs = eigen_decompose(np.array([[a, b], [b, a]]))
