@@ -113,9 +113,9 @@ def _wrap(delta, period):
 
     delta - k period with k the nearest integer to delta/period: a difference
     in [-period/2, period/2] comes back unchanged (k = 0), and one within two
-    periods exactly shifted.  The shifted form (delta + period/2) % period -
-    period/2 rounds every difference to a multiple of ulp(period/2), which
-    moves a separation of 1e-13 by 4% and the circle kernel at tiny u with it.
+    periods exactly shifted.  Not (delta + period/2) % period - period/2,
+    which rounds every difference to a multiple of ulp(period/2): that moves
+    a separation of 1e-13 by 4%, and the circle kernel at tiny u with it.
     """
     return delta - period * np.round(delta / period)
 

@@ -316,7 +316,8 @@ def gauss_panels(a, b, n):
     return mid + half * x, half * w
 
 
-# the factor of u that u_nodes trapezoid steps span, three ratio-4 panels
+# ln 64: u_nodes trapezoid steps in log u span a factor 64 of u, three
+# ratio-4 panels
 _LOG_U_SPAN = 3.0 * math.log(4.0)
 
 

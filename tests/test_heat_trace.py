@@ -204,10 +204,11 @@ def test_more_u_nodes_give_a_smaller_step():
     # the benchmark's reference config stays finer than the default
     fine = QuadratureConfig(u_nodes=32,
                             sing_window=quadrature.SingWindowConfig(log_nodes=28, far_nodes=32))
-    steps = [quadrature._log_trapezoid(cfg)[1][0, 0] for cfg in (DEFAULT_QUADRATURE, fine)]
+    configs = (DEFAULT_QUADRATURE, fine)
+    rules = [quadrature._log_trapezoid(cfg) for cfg in configs]
+    steps = [g[0, 0] for _, g in rules]  # h times x_0 = 1
     assert steps[1] < steps[0] < 0.18
-    for cfg in (DEFAULT_QUADRATURE, fine):
-        x, g = quadrature._log_trapezoid(cfg)
+    for cfg, (x, _) in zip(configs, rules):  # an even count of steps spans each panel
         assert len(x) % 2 == 0
         assert len(x) * math.log(x[1]) == pytest.approx(math.log(cfg.panel_ratio), rel=1e-14)
 
